@@ -31,6 +31,7 @@ from repro.errors import CrossbarDeadError
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.hardware import bitslice
 from repro.hardware.crossbar import Crossbar
+from repro.hardware.kernel import ExactMatrix
 from repro.hardware.pim_array import PIMBatchResult, PIMQueryResult
 from repro.telemetry import get_recorder
 
@@ -285,8 +286,9 @@ class FaultyPIMArray:
         dim_idx = rng.integers(0, dims, size=count)
         affected = np.unique(vec_idx)
         local = {int(v): i for i, v in enumerate(affected)}
-        rows = matrix[affected].copy()
+        rows = matrix[affected]
         rows[[local[int(v)] for v in vec_idx], dim_idx] = stuck_value
+        rows = ExactMatrix(rows, int(rows.max()))
         self._stuck_cache[key] = (affected, rows)
         return affected, rows
 
@@ -302,10 +304,10 @@ class FaultyPIMArray:
             return values
         values = values.copy()
         bits = self._inner.config.accumulator_bits
+        top = int(queries.max()) if queries.size else 0
         for event in events:
             affected, rows = self._stuck_rows(name, event)
-            dots = queries.astype(np.int64) @ rows.T
-            dots = bitslice.truncate_result(dots, bits)
+            dots = bitslice.truncate_result(rows.dot(queries, top), bits)
             values[..., affected] = dots
             self._note("stuck_cells", matrix=name, vectors=len(affected))
         return values

@@ -29,20 +29,24 @@ import numpy as np
 from repro.errors import OperandError
 
 
-def check_non_negative_integers(values: np.ndarray, bits: int) -> None:
+def check_non_negative_integers(values: np.ndarray, bits: int) -> int:
     """Validate that ``values`` are PIM-compatible operands.
 
     ReRAM analog computation only supports non-negative integers of
-    limited width; anything else raises :class:`OperandError`.
+    limited width; anything else raises :class:`OperandError`. Returns
+    the largest value (0 when empty), which the value kernel's exactness
+    guard needs (:class:`~repro.hardware.kernel.ExactMatrix`).
     """
     if not np.issubdtype(np.asarray(values).dtype, np.integer):
         raise OperandError("PIM operands must have an integer dtype")
-    if values.size and int(values.min()) < 0:
+    if not values.size:
+        return 0
+    if int(values.min()) < 0:
         raise OperandError("PIM operands must be non-negative")
-    if values.size and int(values.max()) >= (1 << bits):
-        raise OperandError(
-            f"PIM operand exceeds {bits}-bit width: max={int(values.max())}"
-        )
+    top = int(values.max())
+    if top >= (1 << bits):
+        raise OperandError(f"PIM operand exceeds {bits}-bit width: max={top}")
+    return top
 
 
 def num_slices(operand_bits: int, slice_bits: int) -> int:

@@ -9,8 +9,10 @@ of a matrix concurrently and deposits the results in the buffer array.
 Three execution paths produce identical values:
 
 * the default fast path computes the integer matrix-vector product with
-  NumPy (the bit-sliced analog pipeline is value-exact, so this is a pure
-  optimisation), while still charging the cycle-accurate wave latency;
+  the shared exact value kernel (:mod:`repro.hardware.kernel`: float64
+  BLAS while provably exact, int64 past the guard — the bit-sliced
+  analog pipeline is value-exact, so this is a pure optimisation), while
+  still charging the cycle-accurate wave latency;
 * ``simulate_cells=True`` runs the *fused* bit-sliced kernel: the
   operand bit-slice decomposition is precomputed at ``program()`` time
   (cached per matrix, dropped on reprogram/remap) and every wave is one
@@ -38,6 +40,7 @@ from repro.hardware.buffer import BufferArray
 from repro.hardware.config import HardwareConfig, PIMArrayConfig, pim_platform
 from repro.hardware.crossbar import Crossbar
 from repro.hardware.endurance import EnduranceTracker
+from repro.hardware.kernel import ExactMatrix
 from repro.hardware.mapper import (
     DatasetLayout,
     plan_layout,
@@ -223,6 +226,7 @@ class PIMStats:
 class _ProgrammedMatrix:
     """Internal record of one programmed matrix.
 
+    ``matrix`` is the single resident copy the value kernel reads.
     ``sliced`` caches the operand bit-slice decomposition the fused
     cell-level kernel contracts against — shape ``(n_vectors, dims,
     n_operand_slices)``, int64. It is built at program time, rebuilt
@@ -232,7 +236,7 @@ class _ProgrammedMatrix:
 
     def __init__(
         self,
-        matrix: np.ndarray,
+        matrix: ExactMatrix,
         layout: DatasetLayout,
         crossbars: list[list[Crossbar]] | None,
         crossbar_ids: list[int] | None = None,
@@ -334,7 +338,9 @@ class PIMArray:
         matrix = np.ascontiguousarray(matrix)
         if matrix.ndim != 2:
             raise OperandError("expected a 2-D (vectors x dims) matrix")
-        bitslice.check_non_negative_integers(matrix, self.config.operand_bits)
+        top = bitslice.check_non_negative_integers(
+            matrix, self.config.operand_bits
+        )
         n_vectors, dims = matrix.shape
         layout = plan_layout(n_vectors, dims, self.config)
         used = self.stats.crossbars_used + layout.n_crossbars
@@ -368,10 +374,10 @@ class PIMArray:
                 self.endurance.record_write(unit)
                 crossbar_ids.append(unit)
         record = _ProgrammedMatrix(
-            matrix.astype(np.int64), layout, crossbars, crossbar_ids
+            ExactMatrix(matrix, top), layout, crossbars, crossbar_ids
         )
         if self.simulate_cells and not self.reference:
-            record.sliced = self._decompose(record.matrix)
+            record.sliced = self._decompose(matrix)
         self._matrices[name] = record
         self.stats.crossbars_used = used
         self.stats.matrices[name] = layout
@@ -454,13 +460,14 @@ class PIMArray:
     def matrix_of(self, name: str) -> np.ndarray:
         """The integer matrix currently programmed under ``name``.
 
-        Read-only view for diagnostics and fault injectors; mutating the
-        returned array is undefined behaviour.
+        An int64 array for diagnostics and fault injectors, rebuilt from
+        the resident copy on each call; mutating it is undefined
+        behaviour.
         """
         record = self._matrices.get(name)
         if record is None:
             raise ProgrammingError(f"no matrix named {name!r}")
-        return record.matrix
+        return record.matrix.as_int64()
 
     # ------------------------------------------------------------------
     # spare pool + remap table (repair layer)
@@ -622,7 +629,7 @@ class PIMArray:
             raise ProgrammingError(f"no matrix named {name!r}")
         vector = np.asarray(vector)
         bits = input_bits if input_bits is not None else self.config.operand_bits
-        bitslice.check_non_negative_integers(vector, bits)
+        top = bitslice.check_non_negative_integers(vector, bits)
         if vector.ndim != 1 or vector.shape[0] != record.layout.dims:
             raise OperandError(
                 f"query must be a vector of length {record.layout.dims}"
@@ -630,7 +637,7 @@ class PIMArray:
         if record.crossbars is not None:
             values = self._cell_values(record, vector[np.newaxis, :], bits)[0]
         else:
-            values = record.matrix @ vector.astype(np.int64)
+            values = record.matrix.dot(vector[np.newaxis, :], top)[0]
         values = bitslice.truncate_result(values, self.config.accumulator_bits)
         timing = wave_timing(
             record.layout, self.config, self.hardware, input_bits=bits
@@ -681,7 +688,7 @@ class PIMArray:
             raise ProgrammingError(f"no matrix named {name!r}")
         vectors = np.atleast_2d(np.asarray(vectors))
         bits = input_bits if input_bits is not None else self.config.operand_bits
-        bitslice.check_non_negative_integers(vectors, bits)
+        top = bitslice.check_non_negative_integers(vectors, bits)
         if vectors.shape[1] != record.layout.dims:
             raise OperandError(
                 f"queries must have length {record.layout.dims}"
@@ -689,7 +696,7 @@ class PIMArray:
         if record.crossbars is not None:
             values = self._cell_values(record, vectors, bits)
         else:
-            values = vectors.astype(np.int64) @ record.matrix.T
+            values = record.matrix.dot(vectors, top)
         values = bitslice.truncate_result(values, self.config.accumulator_bits)
         timing = wave_timing(
             record.layout, self.config, self.hardware, input_bits=bits
@@ -740,7 +747,7 @@ class PIMArray:
             raise ProgrammingError(f"no matrix named {name!r}")
         vectors = np.atleast_2d(np.asarray(vectors))
         bits = input_bits if input_bits is not None else self.config.operand_bits
-        bitslice.check_non_negative_integers(vectors, bits)
+        top = bitslice.check_non_negative_integers(vectors, bits)
         if vectors.shape[1] != record.layout.dims:
             raise OperandError(
                 f"queries must have length {record.layout.dims}"
@@ -748,7 +755,7 @@ class PIMArray:
         if record.crossbars is not None:
             values = self._cell_values(record, vectors, bits)
         else:
-            values = vectors.astype(np.int64) @ record.matrix.T
+            values = record.matrix.dot(vectors, top)
         values = bitslice.truncate_result(values, self.config.accumulator_bits)
         n_queries = vectors.shape[0]
         timing = batch_wave_timing(
@@ -884,7 +891,8 @@ class PIMArray:
         """
         sliced = record.sliced
         if sliced is None:  # dropped by a reprogram/remap — rebuild
-            sliced = record.sliced = self._decompose(record.matrix)
+            matrix = record.matrix.as_int64()
+            sliced = record.sliced = self._decompose(matrix)
         queries = np.atleast_2d(vectors).astype(np.int64)  # (B, dims)
         # contract the shared dims axis: -> (B, n_vectors, n_op)
         planes = np.tensordot(queries, sliced, axes=([1], [1]))

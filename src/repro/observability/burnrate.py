@@ -96,6 +96,39 @@ def default_rules(base_window_ns: float) -> tuple[BurnRateRule, ...]:
     )
 
 
+class _EventLog:
+    """Time-sorted good/bad events of one objective, with running counts.
+
+    ``bad_upto[i]`` is the number of bad events among the first ``i``
+    in time order, so a window's bad count is the difference of two
+    entries found by bisection — no re-summing per evaluation. Events
+    may arrive out of time order (sheds at dispatch time can be
+    recorded after completions stamped later on the event loop); a
+    late bad event bumps the running count of everything after it.
+    """
+
+    __slots__ = ("times", "bad_upto")
+
+    def __init__(self) -> None:
+        self.times: list[float] = []
+        self.bad_upto: list[int] = [0]
+
+    def add(self, t_ns: float, bad: bool) -> None:
+        pos = bisect.bisect_right(self.times, t_ns)
+        self.times.insert(pos, t_ns)
+        upto = self.bad_upto
+        upto.insert(pos + 1, upto[pos] + int(bad))
+        if bad:
+            for i in range(pos + 2, len(upto)):
+                upto[i] += 1
+
+    def window(self, t_ns: float, window_ns: float) -> tuple[int, int]:
+        """(total, bad) over the half-open window ``(t - w, t]``."""
+        lo = bisect.bisect_right(self.times, t_ns - window_ns)
+        hi = bisect.bisect_right(self.times, t_ns)
+        return hi - lo, self.bad_upto[hi] - self.bad_upto[lo]
+
+
 class BurnRateMonitor:
     """Streaming burn-rate evaluator over terminal responses.
 
@@ -127,10 +160,8 @@ class BurnRateMonitor:
         )
         self.min_events = min_events
         self._by_name = {o.name: o for o in self.objectives}
-        # (t_ns, bad) kept time-sorted — sheds at dispatch time can be
-        # recorded after completions stamped later on the event loop
-        self._events: dict[str, list[tuple[float, int]]] = {
-            o.name: [] for o in self.objectives
+        self._events: dict[str, _EventLog] = {
+            o.name: _EventLog() for o in self.objectives
         }
         self._active: dict[tuple[str, str], bool] = {}
         #: Structured alerts in emission order.
@@ -160,34 +191,19 @@ class BurnRateMonitor:
 
     def record(self, objective: str, t_ns: float, bad: bool) -> None:
         """Record one good/bad event and re-evaluate that objective."""
-        events = self._events.get(objective)
-        if events is None:
+        log = self._events.get(objective)
+        if log is None:
             return
-        bisect.insort(events, (float(t_ns), 1 if bad else 0))
+        log.add(float(t_ns), bad)
         self._evaluate(objective, float(t_ns))
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _window(
-        events: list[tuple[float, int]], t_ns: float, window_ns: float
-    ) -> tuple[int, int]:
-        """(total, bad) over the half-open window ``(t - w, t]``."""
-        lo = bisect.bisect_right(events, (t_ns - window_ns, 1))
-        hi = bisect.bisect_right(events, (t_ns, 1))
-        total = hi - lo
-        bad = sum(flag for _, flag in events[lo:hi])
-        return total, bad
-
     def _evaluate(self, objective: str, t_ns: float) -> None:
         obj = self._by_name[objective]
-        events = self._events[objective]
+        log = self._events[objective]
         for rule in self.rules:
-            long_total, long_bad = self._window(
-                events, t_ns, rule.long_window_ns
-            )
-            short_total, short_bad = self._window(
-                events, t_ns, rule.short_window_ns
-            )
+            long_total, long_bad = log.window(t_ns, rule.long_window_ns)
+            short_total, short_bad = log.window(t_ns, rule.short_window_ns)
             if long_total < self.min_events or short_total == 0:
                 continue
             long_burn = (long_bad / long_total) / obj.budget
@@ -245,13 +261,13 @@ class BurnRateMonitor:
         """Current burn rates per objective per rule window."""
         out: dict = {}
         for obj in self.objectives:
-            events = self._events[obj.name]
+            log = self._events[obj.name]
             t = t_ns
             if t is None:
-                t = events[-1][0] if events else 0.0
+                t = log.times[-1] if log.times else 0.0
             windows: dict = {}
             for rule in self.rules:
-                total, bad = self._window(events, t, rule.long_window_ns)
+                total, bad = log.window(t, rule.long_window_ns)
                 rate = bad / total if total else 0.0
                 windows[rule.name] = {
                     "events": total,

@@ -538,6 +538,35 @@ class _CanonicalHeap:
         return sorted((-s, -i) for s, i in self._heap)
 
 
+def _canonical_blocks(lb: np.ndarray, gidx: np.ndarray, first: int):
+    """Yield ``lexsort((gidx, lb))`` in consecutive, doubling blocks.
+
+    Each block takes the ``m`` smallest remaining bounds by
+    ``argpartition`` semantics — every row whose bound is at most the
+    m-th smallest, so ties straddling the cut come along — and sorts
+    only those by ``(lb, gidx)``. Every row left behind has a strictly
+    larger bound, so the concatenated blocks are the full canonical
+    order, while a scan that stops early never pays for sorting the
+    rest.
+    """
+    rest = None  # positions not yet yielded; None means all of them
+    m = max(int(first), 1)
+    while True:
+        pool = lb if rest is None else lb[rest]
+        if m < pool.size:
+            cut = np.partition(pool, m - 1)[m - 1]
+            take = pool <= cut
+        else:
+            take = np.ones(pool.size, dtype=bool)
+        idx = np.flatnonzero(take) if rest is None else rest[take]
+        if idx.size:
+            yield idx[np.lexsort((gidx[idx], lb[idx]))]
+        if idx.size == pool.size:
+            return
+        rest = np.flatnonzero(~take) if rest is None else rest[~take]
+        m *= 2
+
+
 def _merge_heaps(heaps: list[_CanonicalHeap], k: int) -> _CanonicalHeap:
     """Global top-k from per-shard top-k lists (canonical order)."""
     merged = _CanonicalHeap(k)
@@ -1631,64 +1660,56 @@ class ShardManager:
         approximate: bool,
         sel: np.ndarray | None = None,
         lb: np.ndarray | None = None,
-        order: np.ndarray | None = None,
     ) -> tuple[_CanonicalHeap, int, int]:
         """Local top-k of one query on one shard (canonical order).
 
         ``sel`` restricts the work to a subset of the shard's local rows
         (the chunks this shard serves in the current dispatch, under
         replication); ``dots`` must already be restricted to match.
-        ``lb``/``order`` accept the precomputed clamped lower bounds and
-        their canonical ``lexsort((gidx, lb))`` permutation when the
-        caller batched that work across queries (:meth:`knn_batch`);
-        both are recomputed here when absent.
+        ``lb`` accepts the precomputed clamped lower bounds when the
+        caller batched that work across queries (:meth:`knn_batch`); it
+        is recomputed here when absent. Only the rows the scan reaches
+        are gathered from ``shard.floats``.
         """
         heap = _CanonicalHeap(k)
-        if sel is None:
-            phi, gidx, floats = shard.phi, shard.global_indices, shard.floats
-        else:
-            phi = shard.phi[sel]
-            gidx = shard.global_indices[sel]
-            floats = shard.floats[sel]
+        gidx = shard.global_indices
+        if sel is not None:
+            gidx = gidx[sel]
         n_local = int(gidx.size)
         if n_local == 0:
             return heap, 0, 0
         if lb is None:
+            phi = shard.phi if sel is None else shard.phi[sel]
             alpha2 = self.quantizer.alpha**2
             lb = (phi + phi_q - 2.0 * dots - 2.0 * self.dims) / alpha2
             np.maximum(lb, 0.0, out=lb)
         if approximate:
             # degrade-to-approximate: the lower bound IS the score
-            short = (
-                order[:k] if order is not None
-                else np.lexsort((gidx, lb))[:k]
-            )
+            short = next(_canonical_blocks(lb, gidx, k))[:k]
             for j in short:
                 heap.offer(float(lb[j]), int(gidx[j]))
             return heap, 0, n_local - int(short.size)
-        if order is None:
-            order = np.lexsort((gidx, lb))
         refined = 0
         if self.reference:
-            for j in order:
+            for j in np.lexsort((gidx, lb)):
                 if lb[j] > heap.threshold:
                     break  # ascending lb: the rest prune too
-                score = float(exact_sq_distances(floats[j], q_norm)[0])
+                row = shard.floats[j if sel is None else sel[j]]
+                score = float(exact_sq_distances(row, q_norm)[0])
                 heap.offer(score, int(gidx[j]))
                 refined += 1
             return heap, refined, n_local - refined
-        # Fused: score candidates in doubling blocks ahead of the scan.
-        # The kernel's row independence makes block scores bit-identical
-        # to one-at-a-time scores, and the scan still checks the live
-        # heap threshold per candidate, so the refined/pruned counts —
-        # which feed the simulated CPU time — match the loop exactly.
-        pos = 0
-        block = max(k, 64)
-        while pos < order.size:
-            chunk = order[pos : pos + block]
+        # Fused: score candidates in doubling blocks ahead of the scan,
+        # each block the next stretch of the canonical order. The
+        # kernel's row independence makes block scores bit-identical to
+        # one-at-a-time scores, and the scan still checks the live heap
+        # threshold per candidate, so the refined/pruned counts — which
+        # feed the simulated CPU time — match the loop exactly.
+        for chunk in _canonical_blocks(lb, gidx, max(k, 64)):
             if lb[chunk[0]] > heap.threshold:
                 break  # ascending lb: the rest prune too
-            scores = exact_sq_distances(floats[chunk], q_norm)
+            picked = chunk if sel is None else sel[chunk]
+            scores = exact_sq_distances(shard.floats[picked], q_norm)
             stopped = False
             for t, j in enumerate(chunk):
                 if lb[j] > heap.threshold:
@@ -1698,8 +1719,6 @@ class ShardManager:
                 refined += 1
             if stopped:
                 break
-            pos += block
-            block *= 2
         return heap, refined, n_local - refined
 
     def _degrade_chunk_knn(
@@ -1787,32 +1806,18 @@ class ShardManager:
 
         def process(shard: _Shard, sel, dots) -> float:
             n_local = shard.n_rows if sel is None else int(sel.size)
-            lb_all = orders = None
+            lb_all = None
             if not self.reference and n_local:
                 # Batched bound pipeline: one broadcast lb construction
-                # and one stable axis argsort for the whole batch. With
-                # the columns pre-permuted into ascending-gidx order, a
-                # stable sort on lb breaks ties by position — i.e. by
-                # gidx — so each row of ``orders`` equals that query's
-                # own lexsort((gidx, lb)) permutation bit for bit (gidx
-                # values are unique within a shard). One gidx argsort
-                # amortizes over the batch instead of re-sorting the
-                # tiebreak key per query.
-                if sel is None:
-                    phi, gidx = shard.phi, shard.global_indices
-                else:
-                    phi = shard.phi[sel]
-                    gidx = shard.global_indices[sel]
+                # for the whole batch; each query then orders only the
+                # prefix of its bounds its scan reaches.
+                phi = shard.phi if sel is None else shard.phi[sel]
                 alpha2 = self.quantizer.alpha**2
                 lb_all = (
                     phi[None, :] + phi_q[:, None]
                     - 2.0 * dots - 2.0 * self.dims
                 ) / alpha2
                 np.maximum(lb_all, 0.0, out=lb_all)
-                perm = np.argsort(gidx, kind="stable")
-                orders = perm[
-                    np.argsort(lb_all[:, perm], axis=1, kind="stable")
-                ]
             refined_here = 0
             for b in range(batch):
                 heap, refined, pruned = self._shard_topk(
@@ -1824,7 +1829,6 @@ class ShardManager:
                     approx_list[b],
                     sel=sel,
                     lb=None if lb_all is None else lb_all[b],
-                    order=None if orders is None else orders[b],
                 )
                 per_query_heaps[b].append(heap)
                 refined_total[b] += refined

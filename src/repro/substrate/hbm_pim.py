@@ -42,6 +42,7 @@ from repro.hardware.config import (
 )
 from repro.hardware.endurance import EnduranceTracker
 from repro.hardware.energy import EnergyModel
+from repro.hardware.kernel import ExactMatrix
 from repro.hardware.pim_array import (
     PIMBatchResult,
     PIMQueryResult,
@@ -79,7 +80,7 @@ class _BankedMatrix:
 
     def __init__(
         self,
-        matrix: np.ndarray,
+        matrix: ExactMatrix,
         layout: BankLayout,
         bank_ids: list[int],
         bytes_per_bank: int,
@@ -108,7 +109,7 @@ class HBMPIMArray:
     reference:
         Execute every wave through the MOV/FILL/MAC instruction-stream
         oracle (:meth:`BankedMatrixStore.dot_reference`) instead of the
-        fused int64 matmul. Bit-identical, much slower to simulate.
+        shared exact value kernel. Bit-identical, much slower to simulate.
     simulate_cells:
         Accepted for factory symmetry with the crossbar backend; the
         instruction-level oracle *is* this substrate's cell-faithful
@@ -177,7 +178,9 @@ class HBMPIMArray:
         matrix = np.ascontiguousarray(matrix)
         if matrix.ndim != 2:
             raise OperandError("expected a 2-D (vectors x dims) matrix")
-        bitslice.check_non_negative_integers(matrix, self.config.operand_bits)
+        top = bitslice.check_non_negative_integers(
+            matrix, self.config.operand_bits
+        )
         n_vectors, dims = matrix.shape
         layout = plan_bank_layout(
             n_vectors, dims, self.config, data_banks=len(self._data_bank_ids)
@@ -210,11 +213,12 @@ class HBMPIMArray:
             self._bank_bytes_used[b] += bytes_per_bank
             self.endurance.record_write(b)
         store = None
-        matrix64 = matrix.astype(np.int64)
         if self.reference:
-            store = BankedMatrixStore(matrix64, layout, self.config)
+            store = BankedMatrixStore(
+                matrix.astype(np.int64), layout, self.config
+            )
         self._matrices[name] = _BankedMatrix(
-            matrix64, layout, bank_ids, bytes_per_bank, store
+            ExactMatrix(matrix, top), layout, bank_ids, bytes_per_bank, store
         )
         self.stats.crossbars_used += layout.n_data_banks
         self.stats.matrices[name] = layout
@@ -253,11 +257,11 @@ class HBMPIMArray:
         return {name: rec.layout for name, rec in self._matrices.items()}
 
     def matrix_of(self, name: str) -> np.ndarray:
-        """The integer matrix currently programmed under ``name``."""
+        """The integer matrix currently programmed under ``name`` (int64)."""
         record = self._matrices.get(name)
         if record is None:
             raise ProgrammingError(f"no matrix named {name!r}")
-        return record.matrix
+        return record.matrix.as_int64()
 
     # ------------------------------------------------------------------
     # capacity / placement
@@ -415,33 +419,36 @@ class HBMPIMArray:
         return record
 
     def _values(
-        self, record: _BankedMatrix, vectors: np.ndarray
+        self, record: _BankedMatrix, vectors: np.ndarray, top: int
     ) -> np.ndarray:
         """Exact ``(B, n_vectors)`` accumulators, truncated.
 
-        Fast path: one int64 matmul. Reference path: the per-bank
-        burst-level instruction stream. Identical bit for bit — the
-        property suite holds this line for the banked substrate just as
-        the fusion suite does for the crossbars.
+        Fast path: the shared exact value kernel
+        (:class:`~repro.hardware.kernel.ExactMatrix`; ``top`` is the
+        query block's max). Reference path: the per-bank burst-level
+        instruction stream. Identical bit for bit — the property suite
+        holds this line for the banked substrate just as the fusion
+        suite does for the crossbars.
         """
         if record.store is not None:
             raw = record.store.dot_reference(vectors)
         else:
-            raw = vectors.astype(np.int64) @ record.matrix.T
+            raw = record.matrix.dot(vectors, top)
         return bitslice.truncate_result(raw, self.config.accumulator_bits)
 
     def _check_queries(
         self, record: _BankedMatrix, vectors: np.ndarray, input_bits
     ) -> int:
+        """Validate a query block; returns its max for the kernel guard."""
         bits = (
             input_bits if input_bits is not None else self.config.operand_bits
         )
-        bitslice.check_non_negative_integers(vectors, bits)
+        top = bitslice.check_non_negative_integers(vectors, bits)
         if vectors.shape[-1] != record.layout.dims:
             raise OperandError(
                 f"queries must have length {record.layout.dims}"
             )
-        return bits
+        return top
 
     def _charge_extra(self, layout: BankLayout, n_queries: int) -> None:
         counts = bank_instruction_counts(layout, n_queries)
@@ -463,8 +470,8 @@ class HBMPIMArray:
             raise OperandError(
                 f"query must be a vector of length {record.layout.dims}"
             )
-        self._check_queries(record, vector, input_bits)
-        values = self._values(record, vector[np.newaxis, :])[0]
+        top = self._check_queries(record, vector, input_bits)
+        values = self._values(record, vector[np.newaxis, :], top)[0]
         timing = bank_wave_timing(record.layout, self.config, self.hardware)
         if values.nbytes <= self.buffer.free_bytes:
             self.buffer.push(values)
@@ -500,8 +507,8 @@ class HBMPIMArray:
         """One wave per row of ``vectors``, each charged separately."""
         record = self._record(name)
         vectors = np.atleast_2d(np.asarray(vectors))
-        self._check_queries(record, vectors, input_bits)
-        values = self._values(record, vectors)
+        top = self._check_queries(record, vectors, input_bits)
+        values = self._values(record, vectors, top)
         timing = bank_wave_timing(record.layout, self.config, self.hardware)
         n_queries = vectors.shape[0]
         self.stats.waves += n_queries
@@ -537,8 +544,8 @@ class HBMPIMArray:
         """
         record = self._record(name)
         vectors = np.atleast_2d(np.asarray(vectors))
-        self._check_queries(record, vectors, input_bits)
-        values = self._values(record, vectors)
+        top = self._check_queries(record, vectors, input_bits)
+        values = self._values(record, vectors, top)
         n_queries = vectors.shape[0]
         timing = bank_batch_timing(
             record.layout, self.config, self.hardware, n_queries

@@ -26,6 +26,7 @@ from repro.hardware.crossbar import Crossbar
 from repro.hardware.noise import NoiseModel, NoisyPIMArray
 from repro.hardware.pim_array import PIMArray
 from repro.serving import ShardManager
+from repro.serving.sharding import _canonical_blocks
 
 
 # ----------------------------------------------------------------------
@@ -327,7 +328,61 @@ def serving_cases(draw):
     return data, queries, n_shards, k, placement
 
 
+@st.composite
+def tied_serving_cases(draw):
+    """Few distinct points, many duplicates: long scans through ties."""
+    n = draw(st.integers(min_value=64, max_value=400))
+    dims = draw(st.integers(min_value=1, max_value=3))
+    n_shards = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.integers(min_value=1, max_value=80))
+    placement = draw(st.sampled_from(["range", "hash"]))
+    replication = draw(st.integers(min_value=1, max_value=n_shards))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    data = rng.integers(0, 3, size=(n, dims)) / 2.0
+    queries = rng.integers(0, 3, size=(2, dims)) / 2.0
+    return data, queries, n_shards, k, placement, replication
+
+
 class TestServingFusion:
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        levels=st.integers(min_value=1, max_value=6),
+        first=st.integers(min_value=1, max_value=80),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_canonical_blocks_concatenate_to_lexsort(
+        self, n, levels, first, seed
+    ):
+        rng = np.random.default_rng(seed)
+        lb = rng.integers(0, levels, size=n) / 4.0  # heavy ties
+        gidx = rng.permutation(10 * n)[:n]
+        blocks = list(_canonical_blocks(lb, gidx, first))
+        assert np.array_equal(
+            np.concatenate(blocks), np.lexsort((gidx, lb))
+        )
+        m, remaining = first, n
+        for block in blocks:
+            assert block.size >= min(m, remaining)
+            m, remaining = 2 * m, remaining - block.size
+
+    @given(tied_serving_cases())
+    @settings(max_examples=15, deadline=None)
+    def test_long_tied_scans_match_reference_loops(self, case):
+        data, queries, n_shards, k, placement, replication = case
+        kw = dict(
+            n_shards=n_shards, placement=placement, replication=replication
+        )
+        af, tf = ShardManager(data, **kw).knn_batch(queries, k)
+        ar, tr = ShardManager(data, reference=True, **kw).knn_batch(
+            queries, k
+        )
+        for x, y in zip(af, ar):
+            assert np.array_equal(x.indices, y.indices)
+            assert np.array_equal(x.scores, y.scores)
+            assert (x.refined, x.pruned) == (y.refined, y.pruned)
+        assert tf.service_ns == tr.service_ns
+
     @given(serving_cases())
     @settings(max_examples=20, deadline=None)
     def test_knn_batch_matches_reference_loops(self, case):

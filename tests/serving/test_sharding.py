@@ -160,6 +160,51 @@ class TestKNNExactness:
             ShardManager(np.zeros((0, 4)))
 
 
+class TestLazyGather:
+    """Refinement gathers only the candidate rows it scans.
+
+    Under replication a shard serves a strict subset ``sel`` of its local
+    rows, and with hash placement those rows' global indices are
+    scattered. The answers are checked against plain NumPy brute force
+    on the min-max-normalised data — not against another manager.
+    """
+
+    @staticmethod
+    def _record_sels(monkeypatch):
+        seen = []
+        inner = ShardManager._shard_topk
+
+        def spy(self, shard, *args, **kwargs):
+            sel = kwargs.get("sel")
+            if sel is not None:
+                seen.append((shard.n_rows, sel, shard.global_indices[sel]))
+            return inner(self, shard, *args, **kwargs)
+
+        monkeypatch.setattr(ShardManager, "_shard_topk", spy)
+        return seen
+
+    @pytest.mark.parametrize("k", [1, 7, 40])
+    def test_replicated_hash_matches_numpy_brute_force(self, monkeypatch, k):
+        rng = np.random.default_rng(100 + k)
+        data = rng.random((240, 16))
+        seen = self._record_sels(monkeypatch)
+        manager = ShardManager(
+            data, n_shards=4, placement="hash", replication=2
+        )
+        lo, hi = data.min(axis=0), data.max(axis=0)
+        queries = rng.uniform(lo, hi, size=(12, 16))  # inside the data box
+        answers, _ = manager.knn_batch(queries, k)
+        normed = (data - lo) / (hi - lo)
+        for query, answer in zip(queries, answers):
+            dist = (((query - lo) / (hi - lo) - normed) ** 2).sum(axis=1)
+            expected = np.argsort(dist, kind="stable")[:k]
+            assert answer.indices.tolist() == expected.tolist()
+            assert np.allclose(answer.scores, dist[expected], rtol=1e-12)
+        strict = [(n, sel, g) for n, sel, g in seen if sel.size < n]
+        assert strict, "replication must hand shards a strict row subset"
+        assert any(np.any(np.diff(g) != 1) for _, _, g in strict)
+
+
 class TestAssign:
     def test_matches_brute_force_argmin(self, data, rng):
         manager = ShardManager(data, n_shards=3, placement="hash")

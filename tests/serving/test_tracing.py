@@ -12,10 +12,13 @@ The PR-7 acceptance criteria, pinned as unit/integration tests:
 * ``--live-report`` emits deterministic periodic status lines.
 """
 
+import bisect
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.observability import (
     DEFAULT_OBJECTIVES,
@@ -38,6 +41,25 @@ from repro.serving import (
     WorkloadDriver,
 )
 from repro.telemetry import chrome_trace_events, telemetry_session
+
+
+class _ResummedLog:
+    """Oracle event log: re-sums the bad flags of every window."""
+
+    def __init__(self):
+        self.events = []  # (t_ns, bad) kept time-sorted
+
+    @property
+    def times(self):
+        return [t for t, _ in self.events]
+
+    def add(self, t_ns, bad):
+        bisect.insort(self.events, (t_ns, 1 if bad else 0))
+
+    def window(self, t_ns, window_ns):
+        lo = bisect.bisect_right(self.events, (t_ns - window_ns, 1))
+        hi = bisect.bisect_right(self.events, (t_ns, 1))
+        return hi - lo, sum(flag for _, flag in self.events[lo:hi])
 
 DIMS = 8
 TENANTS = [TenantSpec("a", k=5), TenantSpec("b", k=3)]
@@ -274,6 +296,35 @@ class TestBurnRateMonitor:
         assert windows["fast"]["burn_rate"] == pytest.approx(
             1.0 / 0.05
         )  # 100% sheds against a 5% budget
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31),
+        n=st.integers(min_value=50, max_value=600),
+        bad_rate=st.sampled_from([0.0, 0.02, 0.2, 0.6]),
+        jitter_ns=st.sampled_from([0.0, 50.0, 2_000.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_running_counts_match_resumming_windows(
+        self, seed, n, bad_rate, jitter_ns
+    ):
+        """Out-of-order replay: running counts == re-summed windows."""
+        rng = np.random.default_rng(seed)
+        arrival = np.cumsum(rng.exponential(40.0, size=n))
+        stamps = np.round(arrival + rng.uniform(-jitter_ns, 0.0, size=n))
+        names = [o.name for o in DEFAULT_OBJECTIVES]
+        fast, oracle = (
+            BurnRateMonitor(base_window_ns=1_000.0) for _ in range(2)
+        )
+        oracle._events = {name: _ResummedLog() for name in names}
+        for t, bad, which in zip(
+            stamps, rng.random(n) < bad_rate, rng.integers(0, 3, size=n)
+        ):
+            for monitor in (fast, oracle):
+                monitor.record(names[which], float(t), bool(bad))
+        assert fast.alerts == oracle.alerts
+        assert fast.firing() == oracle.firing()
+        for t in (None, float(stamps.max()) / 2.0):
+            assert fast.snapshot(t) == oracle.snapshot(t)
 
 
 class TestServiceAlerting:
