@@ -31,7 +31,7 @@ from repro.errors import CrossbarDeadError
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.hardware import bitslice
 from repro.hardware.crossbar import Crossbar
-from repro.hardware.kernel import ExactMatrix
+from repro.hardware.kernel import ExactMatrix, served_columns
 from repro.hardware.pim_array import PIMBatchResult, PIMQueryResult
 from repro.telemetry import get_recorder
 
@@ -403,7 +403,7 @@ class FaultyPIMArray:
         return _InflatedTiming(timing, factor)
 
     # ------------------------------------------------------------------
-    def _wave(self, method: str, name, vectors, input_bits):
+    def _wave(self, method: str, name, vectors, input_bits, rows=None):
         self._check_dead()
         result = getattr(self._inner, method)(
             name, vectors, input_bits=input_bits
@@ -411,6 +411,11 @@ class FaultyPIMArray:
         queries = np.atleast_2d(np.asarray(vectors))
         values = self._apply_stuck(name, queries, result.values)
         values = self._apply_corruption(values)
+        if rows is not None:
+            # stuck cells and corruption address full-wave columns (the
+            # corruption RNG draws per column), so the whole wave fires
+            # and is narrowed afterwards
+            values = served_columns(values, rows)
         timing = self._apply_latency(result.timing, name)
         if self.auto_advance:
             self.now_ns += timing.total_ns
@@ -424,8 +429,12 @@ class FaultyPIMArray:
         values, timing = self._wave("query_many", name, vectors, input_bits)
         return PIMQueryResult(values=values, timing=timing)
 
-    def query_batch(self, name, vectors, input_bits=None) -> PIMBatchResult:
-        values, timing = self._wave("query_batch", name, vectors, input_bits)
+    def query_batch(
+        self, name, vectors, input_bits=None, rows=None
+    ) -> PIMBatchResult:
+        values, timing = self._wave(
+            "query_batch", name, vectors, input_bits, rows
+        )
         return PIMBatchResult(values=values, timing=timing)
 
 

@@ -82,29 +82,28 @@ class BufferArray:
             )
         return block
 
-    def pulse_rows(self, rows: np.ndarray) -> int:
-        """Synchronously push+pop each row that fits; returns bytes moved.
+    def pulse_rows(self, n_rows: int, row_nbytes: int) -> int:
+        """Synchronously push+pop ``n_rows`` rows of ``row_nbytes`` each.
 
         Semantically a ``push(row); pop()`` pair per fitting row on an
         otherwise-empty buffer — occupancy is unchanged throughout — but
         the byte counters are recorded once for the whole burst instead
         of per row, which keeps the hot batched-wave drain loop off the
-        telemetry registry. Falls back to the explicit pair when blocks
-        are already buffered (pop order would matter then).
+        telemetry registry. Only sizes are modelled, so a wave that
+        computed fewer columns than it fired still moves full rows.
+        Falls back to the explicit pair, with placeholder rows, when
+        blocks are already buffered (pop order would matter then).
+        Returns the bytes moved.
         """
         if self._blocks:
             moved = 0
-            for row in rows:
-                if row.nbytes <= self.free_bytes:
-                    self.push(row)
+            for _ in range(n_rows):
+                if row_nbytes <= self.free_bytes:
+                    self.push(np.zeros(row_nbytes, dtype=np.uint8))
                     self.pop()
-                    moved += row.nbytes
+                    moved += row_nbytes
             return moved
-        moved = 0
-        free = self.free_bytes
-        for row in rows:
-            if row.nbytes <= free:
-                moved += row.nbytes
+        moved = n_rows * row_nbytes if row_nbytes <= self.free_bytes else 0
         self.total_bytes_written += moved
         self.total_bytes_read += moved
         if moved:

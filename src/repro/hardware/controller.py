@@ -14,6 +14,7 @@ the convenience facade the mining layer uses:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,14 +145,22 @@ class PIMController:
         return self.pim.query_many(name, queries, input_bits=input_bits)
 
     def dot_products_batch(
-        self, name: str, queries: np.ndarray, input_bits: int | None = None
+        self,
+        name: str,
+        queries: np.ndarray,
+        input_bits: int | None = None,
+        rows: Sequence[slice] | None = None,
     ) -> PIMBatchResult:
         """One *batched* wave covering every row of ``queries``.
 
         Values match :meth:`dot_products_many` bit for bit; the timing
         model charges one pipeline setup plus per-query increments.
+        ``rows`` narrows the returned columns to those matrix row ranges
+        (see :meth:`~repro.substrate.protocol.Substrate.query_batch`).
         """
-        return self.pim.query_batch(name, queries, input_bits=input_bits)
+        return self.pim.query_batch(
+            name, queries, input_bits=input_bits, rows=rows
+        )
 
     def receipt(self, name: str) -> ProgramReceipt:
         """Pre-processing accounting recorded by :meth:`program`."""

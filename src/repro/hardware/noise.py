@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hardware.config import HardwareConfig
+from repro.hardware.kernel import served_columns
 from repro.hardware.pim_array import PIMArray, PIMBatchResult, PIMQueryResult
 
 #: Noise samples are truncated at this many standard deviations so the
@@ -161,8 +162,13 @@ class NoisyPIMArray(PIMArray):
             values=self._perturb(result.values), timing=result.timing
         )
 
-    def query_batch(self, name, vectors, input_bits=None) -> PIMBatchResult:
+    def query_batch(
+        self, name, vectors, input_bits=None, rows=None
+    ) -> PIMBatchResult:
         result = super().query_batch(name, vectors, input_bits=input_bits)
-        return PIMBatchResult(
-            values=self._perturb(result.values), timing=result.timing
-        )
+        values = self._perturb(result.values)
+        if rows is not None:
+            # noise draws one sample per full-wave column: perturb the
+            # whole wave, then narrow, so served columns match its own
+            values = served_columns(values, rows)
+        return PIMBatchResult(values=values, timing=result.timing)

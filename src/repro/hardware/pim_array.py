@@ -30,6 +30,7 @@ identical by construction; the fusion golden tests pin them anyway.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,7 @@ from repro.hardware.buffer import BufferArray
 from repro.hardware.config import HardwareConfig, PIMArrayConfig, pim_platform
 from repro.hardware.crossbar import Crossbar
 from repro.hardware.endurance import EnduranceTracker
-from repro.hardware.kernel import ExactMatrix
+from repro.hardware.kernel import ExactMatrix, served_columns
 from repro.hardware.mapper import (
     DatasetLayout,
     plan_layout,
@@ -732,6 +733,7 @@ class PIMArray:
         name: str,
         vectors: np.ndarray,
         input_bits: int | None = None,
+        rows: Sequence[slice] | None = None,
     ) -> PIMBatchResult:
         """Fire one *batched* wave: all rows of ``vectors`` in one dispatch.
 
@@ -741,6 +743,12 @@ class PIMArray:
         one pipeline setup plus per-query DAC/ADC increments instead of B
         full dispatches — see
         :func:`~repro.hardware.timing.batch_wave_timing`.
+
+        ``rows`` (row ranges of the matrix, ``None`` for all) limits the
+        *returned* columns to the rows the caller reads; they equal the
+        full wave's columns bit for bit. The array still fires every
+        row, so timing, results, buffer bytes and stats charge the full
+        wave either way.
         """
         record = self._matrices.get(name)
         if record is None:
@@ -752,12 +760,16 @@ class PIMArray:
             raise OperandError(
                 f"queries must have length {record.layout.dims}"
             )
+        n_vectors = record.layout.n_vectors
         if record.crossbars is not None:
             values = self._cell_values(record, vectors, bits)
+            if rows is not None:
+                values = served_columns(values, rows)
         else:
-            values = record.matrix.dot(vectors, top)
+            values = record.matrix.dot(vectors, top, rows)
         values = bitslice.truncate_result(values, self.config.accumulator_bits)
         n_queries = vectors.shape[0]
+        results = n_queries * n_vectors
         timing = batch_wave_timing(
             record.layout, self.config, self.hardware, n_queries,
             input_bits=bits,
@@ -765,14 +777,15 @@ class PIMArray:
         single = wave_timing(
             record.layout, self.config, self.hardware, input_bits=bits
         )
-        self.buffer.pulse_rows(values)  # the host drains synchronously
+        # the host drains synchronously
+        self.buffer.pulse_rows(n_queries, n_vectors * values.itemsize)
         self.stats.waves += n_queries
         self.stats.batches += 1
         self.stats.batched_queries += n_queries
         saved_ns = n_queries * single.total_ns - timing.total_ns
         self.stats.pim_time_ns += timing.total_ns
         self.stats.batch_saved_ns += saved_ns
-        self.stats.results_produced += int(values.size)
+        self.stats.results_produced += results
         state = self.stats.matrix_state(name)
         state.waves += n_queries
         state.batches += 1
@@ -784,7 +797,7 @@ class PIMArray:
             # serving hot path and the generator frame is measurable
             tele.begin_span(
                 "pim.batch_wave", "pim_dispatch",
-                matrix=name, queries=n_queries, results=int(values.size),
+                matrix=name, queries=n_queries, results=results,
                 saved_ns=saved_ns,
                 setup_cycles=timing.setup_cycles,
                 per_query_cycles=timing.per_query_cycles,
@@ -796,7 +809,7 @@ class PIMArray:
             self._record_wave_metrics(
                 tele, waves=n_queries,
                 cycles=timing.per_query_cycles * n_queries,
-                results=int(values.size),
+                results=results,
             )
             m = self._wave_instruments(tele, batch=True)
             m["batch_flushes"].add(1)

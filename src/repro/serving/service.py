@@ -359,6 +359,18 @@ class QueryService:
                 tenant=request.tenant,
                 deadline_ns=request.deadline_ns,
             )
+        try:
+            queries = self.manager.check_queries(request.query)
+            if request.kind == "knn":
+                # kNN requests are stacked into one batch at dispatch,
+                # so each must hold exactly one query vector
+                if queries.shape[0] != 1:
+                    raise ServingError("a knn request holds one query")
+                request.query = queries[0]
+        except ServingError:
+            # one malformed request must not take the trace down with it
+            self._shed(request, "invalid_query")
+            return
         bucket = self._buckets.get(request.tenant)
         if bucket is not None and not bucket.try_take(self.now_ns):
             # per-tenant rate limits are contracts, not overload

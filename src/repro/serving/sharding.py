@@ -70,6 +70,7 @@ from repro.hardware.config import (
     pim_platform,
 )
 from repro.hardware.controller import PIMController
+from repro.hardware.kernel import served_columns
 from repro.hardware.mapper import total_crossbars
 from repro.hardware.pim_array import PIMStats
 from repro.hardware.reprogramming import ChunkedDotProductEngine
@@ -475,18 +476,48 @@ class _Shard:
             return self.engine.pim.stats
         return PIMStats()
 
-    def dot_products(self, queries_int: np.ndarray) -> tuple[np.ndarray, float]:
-        """``(B, n_rows)`` integer dot products and their PIM time."""
+    def served(
+        self, chunks: list[int]
+    ) -> tuple[list[slice] | None, np.ndarray | None]:
+        """Local row ranges and row indices of the served ``chunks``.
+
+        ``(None, None)`` when they cover every row of the shard.
+        """
+        if self.n_rows == 0:
+            return None, None
+        rows = [self.chunk_slices[c] for c in chunks]
+        if sum(r.stop - r.start for r in rows) == self.n_rows:
+            return None, None
+        sel = np.concatenate(
+            [np.arange(r.start, r.stop, dtype=np.int64) for r in rows]
+        )
+        return rows, sel
+
+    def dot_products(
+        self, queries_int: np.ndarray, rows: list[slice] | None = None
+    ) -> tuple[np.ndarray, float]:
+        """Integer dot products of the served rows and their PIM time.
+
+        ``rows`` lists the local row ranges a dispatch reads (``None``:
+        every row). A resident shard hands them to its array's
+        ``query_batch``, which fires — and charges — the whole wave but
+        computes only those columns, so the result is ``(B, served)``.
+        A verified shard ignores ``rows`` and returns all ``n_rows + 1``
+        columns: the residue check needs every one, so the caller
+        verifies and narrows with
+        :func:`~repro.hardware.kernel.served_columns`. The chunked
+        engine computes every row, narrowed here.
+        """
         if self.n_rows == 0:
             return np.zeros((queries_int.shape[0], 0), dtype=np.int64), 0.0
         if self.controller is not None:
             result = self.controller.dot_products_batch(
-                self.name, queries_int
+                self.name, queries_int, rows=None if self.verify else rows
             )
             return result.values, result.timing.total_ns
         assert self.engine is not None
         before = self.engine.stats.total_time_ns
-        rows = [self.engine.dot_products_all(q) for q in queries_int]
+        waves = [self.engine.dot_products_all(q) for q in queries_int]
         if (
             self.reprogram_budget is not None
             and self.engine.stats.reprogrammings > self.reprogram_budget
@@ -496,7 +527,10 @@ class _Shard:
                 f"budget ({self.engine.stats.reprogrammings} > "
                 f"{self.reprogram_budget} crossbar writes)"
             )
-        return np.stack(rows), self.engine.stats.total_time_ns - before
+        dots = np.stack(waves)
+        if rows is not None:
+            dots = served_columns(dots, rows)
+        return dots, self.engine.stats.total_time_ns - before
 
 
 class _CanonicalHeap:
@@ -1112,14 +1146,28 @@ class ShardManager:
     # ------------------------------------------------------------------
     # kNN scatter/gather
     # ------------------------------------------------------------------
-    def _prepare_queries(
-        self, queries: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def check_queries(self, queries: np.ndarray) -> np.ndarray:
+        """``queries`` as a ``(B, dims)`` float64 block, or ServingError.
+
+        Rejects a wrong shape, an empty block and any NaN or infinite
+        entry: quantization would clip an infinity to the box edge and
+        turn a NaN into a garbage operand.
+        """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if queries.shape[1] != self.dims:
+        if queries.ndim != 2 or queries.shape[1] != self.dims:
             raise ServingError(
                 f"queries must have {self.dims} dimensions"
             )
+        if queries.shape[0] == 0:
+            raise ServingError("empty query batch")
+        if not np.isfinite(queries).all():
+            raise ServingError("queries must be finite (found NaN or inf)")
+        return queries
+
+    def _prepare_queries(
+        self, queries: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        queries = self.check_queries(queries)
         qv = self.quantizer.quantize(queries)
         normalized = self.quantizer.normalize(queries)
         phi_q = (qv.scaled**2).sum(axis=1) - 2.0 * qv.integers.sum(axis=1)
@@ -1270,7 +1318,8 @@ class ShardManager:
 
         ``process(shard, sel, dots)`` does the host-side candidate work
         for the shard-local rows ``sel`` (``None`` = all rows) whose dot
-        products are ``dots``, and returns the CPU time it cost; it runs
+        products are ``dots`` — the array computed only those columns —
+        and returns the CPU time it cost; it runs
         once per *successful* wave. The attempt machinery handles crash
         detection and failover, hang timeouts, straggler stretching,
         residue verification with bounded retries and capped exponential
@@ -1364,7 +1413,9 @@ class ShardManager:
                 if verdict.status not in ("ok", "slow"):
                     continue
                 try:
-                    dots2, pim2 = alt.dot_products(q_int)
+                    dots2, pim2 = alt.dot_products(
+                        q_int, alt.served(chunks)[0]
+                    )
                 except CrossbarDeadError:
                     continue
                 pim2 = pim2 * verdict.factor + verdict.delay_ns
@@ -1532,13 +1583,14 @@ class ShardManager:
                 # ok / slow: fire the wave
                 shard.advance_clock(t_start)
                 timing.attempts += 1
+                rows, sel = shard.served(chunks)
                 with tele.span(
                     span_name, "serving",
                     shard=s, rows=shard.n_rows, queries=batch,
                     substrate=shard.substrate,
                 ):
                     try:
-                        dots, pim_ns = shard.dot_products(q_int)
+                        dots, pim_ns = shard.dot_products(q_int, rows)
                     except CrossbarDeadError:
                         timing.crashes += 1
                         end_rel = start_rel + policy.crash_detect_ns
@@ -1582,25 +1634,11 @@ class ShardManager:
                             # transient: retry the same replica first
                             fail_chunks(chunks, end_rel, s, False, False)
                             continue
-                        dots = dots[:, : shard.n_rows]
-                    sel = (
-                        np.concatenate(
-                            [
-                                np.arange(
-                                    shard.chunk_slices[c].start,
-                                    shard.chunk_slices[c].stop,
-                                    dtype=np.int64,
-                                )
-                                for c in chunks
-                            ]
+                        dots = served_columns(
+                            dots,
+                            [slice(0, shard.n_rows)] if rows is None else rows,
                         )
-                        if shard.n_rows
-                        else np.empty(0, dtype=np.int64)
-                    )
-                    if sel.size == shard.n_rows:
-                        cpu_ns = process(shard, None, dots)
-                    else:
-                        cpu_ns = process(shard, sel, dots[:, sel])
+                    cpu_ns = process(shard, sel, dots)
                     tele.advance(cpu_ns)
                 end_rel = start_rel + pim_ns + cpu_ns
                 elapsed[s] = end_rel
@@ -1704,8 +1742,10 @@ class ShardManager:
         # kernel's row independence makes block scores bit-identical to
         # one-at-a-time scores, and the scan still checks the live heap
         # threshold per candidate, so the refined/pruned counts — which
-        # feed the simulated CPU time — match the loop exactly.
-        for chunk in _canonical_blocks(lb, gidx, max(k, 64)):
+        # feed the simulated CPU time — match the loop exactly. The
+        # first block is k rows: the heap fills on them, and with tight
+        # bounds the scan rarely reads past them.
+        for chunk in _canonical_blocks(lb, gidx, k):
             if lb[chunk[0]] > heap.threshold:
                 break  # ascending lb: the rest prune too
             picked = chunk if sel is None else sel[chunk]

@@ -20,6 +20,7 @@ activations, ...) lands in ``stats.extra`` instead of new fields.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from repro.hardware.config import (
 )
 from repro.hardware.endurance import EnduranceTracker
 from repro.hardware.energy import EnergyModel
-from repro.hardware.kernel import ExactMatrix
+from repro.hardware.kernel import ExactMatrix, served_columns
 from repro.hardware.pim_array import (
     PIMBatchResult,
     PIMQueryResult,
@@ -419,21 +420,29 @@ class HBMPIMArray:
         return record
 
     def _values(
-        self, record: _BankedMatrix, vectors: np.ndarray, top: int
+        self,
+        record: _BankedMatrix,
+        vectors: np.ndarray,
+        top: int,
+        rows: Sequence[slice] | None = None,
     ) -> np.ndarray:
         """Exact ``(B, n_vectors)`` accumulators, truncated.
 
         Fast path: the shared exact value kernel
         (:class:`~repro.hardware.kernel.ExactMatrix`; ``top`` is the
-        query block's max). Reference path: the per-bank burst-level
-        instruction stream. Identical bit for bit — the property suite
-        holds this line for the banked substrate just as the fusion
-        suite does for the crossbars.
+        query block's max), over the row ranges ``rows`` only when
+        given. Reference path: the per-bank burst-level instruction
+        stream, always the full wave, narrowed to ``rows`` afterwards.
+        Identical bit for bit — the property suite holds this line for
+        the banked substrate just as the fusion suite does for the
+        crossbars.
         """
         if record.store is not None:
             raw = record.store.dot_reference(vectors)
+            if rows is not None:
+                raw = served_columns(raw, rows)
         else:
-            raw = record.matrix.dot(vectors, top)
+            raw = record.matrix.dot(vectors, top, rows)
         return bitslice.truncate_result(raw, self.config.accumulator_bits)
 
     def _check_queries(
@@ -535,30 +544,38 @@ class HBMPIMArray:
         name: str,
         vectors: np.ndarray,
         input_bits: int | None = None,
+        rows: Sequence[slice] | None = None,
     ) -> PIMBatchResult:
         """All rows of ``vectors`` in one dispatch; rows stay open.
 
         The batch amortizes the row-activation setup across queries —
         the banked analogue of the crossbar's pipeline-setup
         amortization — so ``batch_saved_ns`` accounts the same way.
+        ``rows`` narrows the returned columns to those row ranges, as
+        for :meth:`PIMArray.query_batch
+        <repro.hardware.pim_array.PIMArray.query_batch>`: every bank
+        still fires, so the full wave is charged.
         """
         record = self._record(name)
         vectors = np.atleast_2d(np.asarray(vectors))
         top = self._check_queries(record, vectors, input_bits)
-        values = self._values(record, vectors, top)
+        values = self._values(record, vectors, top, rows)
         n_queries = vectors.shape[0]
+        n_vectors = record.layout.n_vectors
+        results = n_queries * n_vectors
         timing = bank_batch_timing(
             record.layout, self.config, self.hardware, n_queries
         )
         single = bank_wave_timing(record.layout, self.config, self.hardware)
-        self.buffer.pulse_rows(values)  # the host drains synchronously
+        # the host drains synchronously
+        self.buffer.pulse_rows(n_queries, n_vectors * values.itemsize)
         saved_ns = n_queries * single.total_ns - timing.total_ns
         self.stats.waves += n_queries
         self.stats.batches += 1
         self.stats.batched_queries += n_queries
         self.stats.pim_time_ns += timing.total_ns
         self.stats.batch_saved_ns += saved_ns
-        self.stats.results_produced += int(values.size)
+        self.stats.results_produced += results
         state = self.stats.matrix_state(name)
         state.waves += n_queries
         state.batches += 1
@@ -569,7 +586,7 @@ class HBMPIMArray:
         if tele.enabled:
             tele.begin_span(
                 "pim.batch_wave", "pim_dispatch",
-                matrix=name, queries=n_queries, results=int(values.size),
+                matrix=name, queries=n_queries, results=results,
                 saved_ns=saved_ns,
                 setup_cycles=timing.setup_cycles,
                 per_query_cycles=timing.per_query_cycles,

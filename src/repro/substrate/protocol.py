@@ -17,6 +17,7 @@ cost router uses to pick a backend per query batch.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -73,8 +74,21 @@ class Substrate(Protocol):
     ): ...
 
     def query_batch(
-        self, name: str, vectors: np.ndarray, input_bits: int | None = None
-    ): ...
+        self,
+        name: str,
+        vectors: np.ndarray,
+        input_bits: int | None = None,
+        rows: Sequence[slice] | None = None,
+    ):
+        """One batched wave over every programmed row of ``name``.
+
+        ``rows`` (unit-step row ranges, ``None`` for all) limits the
+        returned columns to the rows the caller reads, in range order;
+        they equal the full wave's columns bit for bit. The device still
+        fires every row, so timing, ``results_produced``, buffer bytes,
+        ``batch_saved_ns`` and span attributes charge the full wave.
+        """
+        ...
 
     def total_pim_time_ns(self) -> float: ...
 

@@ -12,6 +12,7 @@ simulator run orders of magnitude faster without moving a single bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -365,6 +366,47 @@ class TestServingFusion:
         for block in blocks:
             assert block.size >= min(m, remaining)
             m, remaining = 2 * m, remaining - block.size
+
+    @given(
+        n=st.integers(min_value=1, max_value=200),
+        levels=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_first_block_of_one_brings_its_ties(self, n, levels, seed):
+        rng = np.random.default_rng(seed)
+        lb = rng.integers(0, levels, size=n) / 2.0
+        gidx = rng.permutation(3 * n)[:n]
+        blocks = list(_canonical_blocks(lb, gidx, 1))
+        assert np.array_equal(
+            np.concatenate(blocks), np.lexsort((gidx, lb))
+        )
+        # the cut is by value: every row tied with the minimum comes along
+        assert np.array_equal(
+            np.sort(blocks[0]), np.flatnonzero(lb == lb.min())
+        )
+
+    @pytest.mark.parametrize("k", [1, 10, 100])
+    @given(case=tied_serving_cases(), seed=st.integers(0, 2**31))
+    @settings(max_examples=10, deadline=None)
+    def test_k_sized_first_block_matches_reference_loop(self, k, case, seed):
+        data, queries, n_shards, _, placement, replication = case
+        kw = dict(
+            n_shards=n_shards, placement=placement, replication=replication
+        )
+        # tied bounds and near-tied distances: both lexsort keys matter
+        data = data + np.random.default_rng(seed).integers(
+            0, 2, size=data.shape
+        ) * 1e-9
+        af, tf = ShardManager(data, **kw).knn_batch(queries, k)
+        ar, tr = ShardManager(data, reference=True, **kw).knn_batch(
+            queries, k
+        )
+        for x, y in zip(af, ar):
+            assert np.array_equal(x.indices, y.indices)
+            assert np.array_equal(x.scores, y.scores)
+            assert (x.refined, x.pruned) == (y.refined, y.pruned)
+        assert tf.service_ns == tr.service_ns
 
     @given(tied_serving_cases())
     @settings(max_examples=15, deadline=None)

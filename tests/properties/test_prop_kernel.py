@@ -7,6 +7,10 @@ the truncated accumulators must equal the plain int64 product bit for
 bit — including matrices carrying the ABFT checksum row, batches either
 side of the guard, and operands wide enough that the int64 product
 wraps mod 2**64.
+
+A dispatch that reads some rows only passes their ranges; every path —
+fast, cell-level, instruction-stream, noisy and faulty — must return
+the full wave's columns for them, while charging the full wave.
 """
 
 import numpy as np
@@ -14,10 +18,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import OperandError
+from repro.faults.injectors import FaultyPIMArray
 from repro.faults.integrity import append_checksum_row
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.hardware import bitslice
 from repro.hardware.config import hbm_pim_platform
-from repro.hardware.kernel import FLOAT_EXACT_BOUND, ExactMatrix
+from repro.hardware.kernel import (
+    FLOAT_EXACT_BOUND,
+    ExactMatrix,
+    check_rows,
+    served_columns,
+)
+from repro.hardware.noise import NoiseModel, NoisyPIMArray
 from repro.hardware.pim_array import PIMArray
 from repro.serving import ShardManager
 from repro.substrate.hbm_pim import HBMPIMArray
@@ -155,3 +168,139 @@ class TestServingTakesTheFloatPath:
     def test_checksum_row_takes_the_int64_fallback(self, guard_log):
         self._serve(verify=True)
         assert guard_log and not any(guard_log)
+
+
+# ----------------------------------------------------------------------
+# served rows: query_batch(..., rows) == the full wave's column slice
+# ----------------------------------------------------------------------
+def _faulty(kind, **params):
+    def build(seed):
+        plan = FaultPlan(
+            [FaultEvent(t_ns=0.0, kind=kind, target="array", params=params)],
+            seed=seed,
+        )
+        return FaultyPIMArray(PIMArray(PLATFORM), plan, "array")
+
+    return build
+
+
+#: name -> (factory(seed), dims it is drawn over)
+SERVED_PATHS = {
+    "crossbar": (lambda seed: PIMArray(PLATFORM), DIMS),
+    "crossbar-cells": (
+        lambda seed: PIMArray(PLATFORM, simulate_cells=True), [1, 90]
+    ),
+    "crossbar-loop": (
+        lambda seed: PIMArray(PLATFORM, simulate_cells=True, reference=True),
+        [1, 90],
+    ),
+    "hbm_pim": (lambda seed: HBMPIMArray(PLATFORM), DIMS),
+    "hbm_pim-stream": (
+        lambda seed: HBMPIMArray(PLATFORM, reference=True), [1, 90]
+    ),
+    "noisy": (
+        lambda seed: NoisyPIMArray(
+            PLATFORM, NoiseModel(cell_sigma=0.01, adc_step=4.0, seed=seed)
+        ),
+        DIMS,
+    ),
+    "faulty-stuck": (_faulty("stuck_cells", fraction=0.2, stuck_to=1), DIMS),
+    "faulty-corrupt": (_faulty("wave_corrupt", probability=0.5), DIMS),
+    "faulty-latency": (_faulty("latency_spike", factor=3.0), DIMS),
+}
+
+
+@st.composite
+def row_ranges(draw, n):
+    """One to four unit-step ranges inside ``[0, n]`` (any order)."""
+    ranges = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        start = draw(st.integers(min_value=0, max_value=n))
+        stop = draw(st.integers(min_value=start, max_value=n))
+        ranges.append(slice(start, stop))
+    return ranges
+
+
+@st.composite
+def served_case(draw, dims):
+    d = draw(st.sampled_from(dims))
+    n = draw(st.integers(min_value=1, max_value=12))
+    batch = draw(st.integers(min_value=1, max_value=4))
+    regime = draw(st.sampled_from(["serving", "checksum", "below", "above"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    if regime in ("below", "above"):
+        m_top = draw(st.integers(min_value=1 << 26, max_value=1 << 27))
+        q_top = _guard_edge(d, m_top) + (regime == "above")
+    else:
+        m_top = q_top = 1_000_001
+    matrix = _operands(rng, (n, d), m_top, False)
+    if regime == "checksum":
+        matrix = append_checksum_row(matrix, OPERAND_BITS)
+    queries = _operands(rng, (batch, d), q_top, False)
+    rows = draw(row_ranges(matrix.shape[0]))
+    return matrix, queries, rows, draw(st.integers(0, 2**31))
+
+
+class TestServedRows:
+    @pytest.mark.parametrize("path", sorted(SERVED_PATHS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_served_columns_equal_the_full_wave_slice(self, path, data):
+        build, dims = SERVED_PATHS[path]
+        matrix, queries, rows, seed = data.draw(served_case(dims))
+        full, narrow = build(seed), build(seed)
+        for array in (full, narrow):
+            array.program_matrix("m", matrix)
+        whole = full.query_batch("m", queries)
+        served = narrow.query_batch("m", queries, rows=rows)
+        assert np.array_equal(
+            served.values, served_columns(whole.values, rows)
+        )
+        expected = sum(r.stop - r.start for r in rows)
+        assert served.values.shape == (queries.shape[0], expected)
+        if path in ("crossbar", "crossbar-cells", "crossbar-loop",
+                    "hbm_pim", "hbm_pim-stream", "faulty-latency"):
+            exact = _int64_reference(queries, matrix)
+            assert np.array_equal(served.values, served_columns(exact, rows))
+        # the device fires every row either way
+        assert served.timing.total_ns == whole.timing.total_ns
+        assert vars(served.timing) == vars(whole.timing)
+        assert narrow.stats == full.stats
+        assert narrow.stats.results_produced == matrix.shape[0] * len(queries)
+        moved = [
+            (a.buffer.total_bytes_written, a.buffer.total_bytes_read)
+            for a in (narrow, full)
+        ]
+        assert moved[0] == moved[1] and moved[0][0] > 0
+
+    @pytest.mark.parametrize("substrate", ["crossbar", "hbm_pim"])
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_guard_edge_with_several_ranges(self, substrate, offset):
+        d, m_top = 960, (1 << 26) + 3
+        q_top = _guard_edge(d, m_top) + offset
+        rng = np.random.default_rng(offset)
+        matrix = _operands(rng, (40, d), m_top, False)
+        queries = _operands(rng, (3, d), q_top, False)
+        array = _array(substrate)
+        array.program_matrix("m", matrix)
+        rows = [slice(30, 40), slice(0, 7), slice(7, 12), slice(20, 20)]
+        resident = ExactMatrix(matrix, m_top)
+        assert resident.uses_float(int(queries.max())) == (offset == 0)
+        values = array.query_batch("m", queries, rows=rows).values
+        expected = _int64_reference(queries, matrix)
+        assert np.array_equal(values, served_columns(expected, rows))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [slice(0, 5, 2)], [slice(3, 11)], [slice(-1, 2)], [(0, 2)]],
+    )
+    def test_bad_ranges_are_refused(self, rows):
+        array = _array("crossbar")
+        array.program_matrix("m", np.ones((10, 4), dtype=np.int64))
+        with pytest.raises(OperandError):
+            array.query_batch("m", np.ones((1, 4), dtype=np.int64), rows=rows)
+
+    def test_open_ranges_are_made_explicit(self):
+        assert check_rows([slice(None, 3), slice(8, None)], 10) == [
+            slice(0, 3), slice(8, 10)
+        ]

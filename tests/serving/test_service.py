@@ -122,6 +122,69 @@ class TestAdmission:
             QueryService(manager, batch_window_ns=-1.0)
 
 
+class TestInvalidQueries:
+    """A malformed request is shed; the rest of the trace is served."""
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "empty"])
+    @pytest.mark.parametrize("kind", ["knn", "assign"])
+    def test_invalid_request_is_shed_not_fatal(self, data, rng, bad, kind):
+        manager = ShardManager(data, n_shards=2)
+        good = data[:3] if kind == "assign" else data[0]
+        if bad == "empty":
+            query = np.empty((0, DIMS))
+        else:
+            query = np.array(good, dtype=np.float64)
+            query.flat[1] = float(bad)
+        service = QueryService(manager, tracker=SLOTracker())
+        requests = [
+            make_request(0, data[1], k=3),
+            make_request(1, query, kind=kind, k=3, arrival=10.0),
+            make_request(2, good, kind=kind, k=3, arrival=20.0),
+        ]
+        responses = {r.request_id: r for r in service.run(requests)}
+        assert responses["r0001"].shed_reason == "invalid_query"
+        assert not responses["r0001"].ok
+        assert responses["r0000"].ok and responses["r0002"].ok
+        assert service.tracker.shed_reasons == {"invalid_query": 1}
+
+    def test_multi_query_knn_request_is_shed(self, data):
+        """A kNN request carries one vector; a (2, dims) block is shed."""
+        manager = ShardManager(data, n_shards=2)
+        service = QueryService(manager, max_batch=4, tracker=SLOTracker())
+        requests = [
+            make_request(0, data[1], k=3),
+            make_request(1, data[:2], k=3),
+            make_request(2, data[2], k=3),
+        ]
+        responses = {r.request_id: r for r in service.run(requests)}
+        assert responses["r0001"].shed_reason == "invalid_query"
+        assert responses["r0000"].ok and responses["r0002"].ok
+        assert service.tracker.shed_reasons == {"invalid_query": 1}
+
+    def test_single_row_knn_block_is_served(self, data):
+        """A (1, dims) kNN query batches with 1-D ones, same answer."""
+        manager = ShardManager(data, n_shards=2)
+        service = QueryService(manager, max_batch=4, tracker=SLOTracker())
+        requests = [
+            make_request(0, data[1], k=3),
+            make_request(1, data[2:3], k=3),
+            make_request(2, data[2], k=3),
+        ]
+        responses = {r.request_id: r for r in service.run(requests)}
+        assert all(r.ok for r in responses.values())
+        # r0001 rode the same dispatch as the 1-D r0002
+        assert responses["r0001"].batch_size >= 2
+        assert responses["r0001"].dispatch_ns == responses["r0002"].dispatch_ns
+        assert (
+            responses["r0001"].indices.tolist()
+            == responses["r0002"].indices.tolist()
+        )
+        assert (
+            responses["r0001"].scores.tolist()
+            == responses["r0002"].scores.tolist()
+        )
+
+
 class TestBackpressure:
     def overload(self, data, policy):
         """3 arrivals pile into a queue of 2 while the server is busy.

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ProgrammingError, ServingError
+from repro.faults.plan import FaultEvent, FaultPlan
 from repro.hardware.config import (
     CrossbarConfig,
     HardwareConfig,
@@ -22,8 +23,10 @@ from repro.serving import (
     ShardPlacement,
     plan_placement,
 )
+from repro.hardware.pim_array import PIMArray
 from repro.serving.sharding import GatherTiming, exact_sq_distances
 from repro.similarity.quantization import Quantizer
+from repro.substrate.hbm_pim import HBMPIMArray
 
 
 def brute_knn(manager: ShardManager, data, query, k):
@@ -203,6 +206,136 @@ class TestLazyGather:
         strict = [(n, sel, g) for n, sel, g in seen if sel.size < n]
         assert strict, "replication must hand shards a strict row subset"
         assert any(np.any(np.diff(g) != 1) for _, _, g in strict)
+
+
+class TestInvalidQueries:
+    """NaN, inf and empty blocks are refused before anything is queued."""
+
+    @pytest.fixture
+    def manager(self, data):
+        return ShardManager(data, n_shards=2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_knn_batch_rejects_non_finite(self, manager, data, value):
+        queries = data[:3].copy()
+        queries[1, 2] = value
+        with pytest.raises(ServingError, match="finite"):
+            manager.knn_batch(queries, 3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_assign_rejects_non_finite(self, manager, data, value):
+        centers = data[:4].copy()
+        centers[0, 0] = value
+        with pytest.raises(ServingError, match="finite"):
+            manager.assign(centers)
+
+    def test_knn_batch_rejects_empty_batch(self, manager, data):
+        with pytest.raises(ServingError, match="empty"):
+            manager.knn_batch(np.empty((0, data.shape[1])), 3)
+
+    def test_assign_rejects_empty_batch(self, manager, data):
+        with pytest.raises(ServingError, match="empty"):
+            manager.assign(np.empty((0, data.shape[1])))
+
+    def test_rejection_leaves_no_trace_on_the_fleet(self, manager, data):
+        with pytest.raises(ServingError):
+            manager.knn_batch(np.full((1, data.shape[1]), np.nan), 3)
+        assert manager.merged_stats().waves == 0
+
+
+def numpy_knn(data, query, k):
+    """Top-k by plain NumPy on min-max-normalised data (in-box queries)."""
+    lo, hi = data.min(axis=0), data.max(axis=0)
+    dist = ((((query - lo) / (hi - lo)) - (data - lo) / (hi - lo)) ** 2).sum(
+        axis=1
+    )
+    return np.argsort(dist, kind="stable")[:k]
+
+
+class TestServedRows:
+    """Each wave computes only the rows its dispatch serves.
+
+    Under replication a shard holds several chunks but serves a subset;
+    the columns every substrate returns must add up to exactly one per
+    dataset row and query, and the answers must stay those of NumPy
+    brute force. Verified fleets keep full waves: the residue check
+    needs every column.
+    """
+
+    @staticmethod
+    def _record_columns(monkeypatch):
+        waves = []
+        for cls in (PIMArray, HBMPIMArray):
+            def spy(self, *args, _inner=cls.query_batch, **kwargs):
+                result = _inner(self, *args, **kwargs)
+                waves.append(result.values.shape)
+                return result
+
+            monkeypatch.setattr(cls, "query_batch", spy)
+        return waves
+
+    @pytest.mark.parametrize("replication", [2, 3])
+    @pytest.mark.parametrize("placement", ["range", "hash"])
+    @pytest.mark.parametrize(
+        "substrates",
+        [None, "hbm_pim", ["crossbar", "hbm_pim", "crossbar", "hbm_pim"]],
+    )
+    def test_columns_sum_to_rows_times_queries(
+        self, monkeypatch, replication, placement, substrates
+    ):
+        rng = np.random.default_rng(replication)
+        data = rng.random((203, 12))
+        # round-robin replica order, so mixed fleets serve subsets on
+        # both substrates (the cost router would pick whole shards)
+        manager = ShardManager(
+            data, n_shards=4, placement=placement,
+            replication=replication, substrates=substrates, route="none",
+        )
+        waves = self._record_columns(monkeypatch)
+        lo, hi = data.min(axis=0), data.max(axis=0)
+        queries = rng.uniform(lo, hi, size=(5, 12))
+        answers, _ = manager.knn_batch(queries, 7)
+        assert sum(q * c for q, c in waves) == len(queries) * len(data)
+        # some wave skipped rows its shard holds but did not serve
+        assert min(c for _, c in waves) < min(manager.shard_sizes())
+        for query, answer in zip(queries, answers):
+            expected = numpy_knn(data, query, 7)
+            assert answer.indices.tolist() == expected.tolist()
+        waves.clear()
+        centers = rng.uniform(lo, hi, size=(3, 12))
+        answer, _ = manager.assign(centers)
+        assert sum(q * c for q, c in waves) == len(centers) * len(data)
+        normed = (data - lo) / (hi - lo)
+        cn = (centers - lo) / (hi - lo)
+        dd = ((normed[:, None, :] - cn[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(answer.assignments, dd.argmin(axis=1))
+
+    def test_verified_fleet_keeps_full_waves_and_detects_corruption(
+        self, monkeypatch
+    ):
+        rng = np.random.default_rng(11)
+        data = rng.random((160, 12))
+        plan = FaultPlan(
+            [
+                FaultEvent(
+                    t_ns=0.0, kind="wave_corrupt", target="shard0",
+                    params={"probability": 1.0},
+                )
+            ]
+        )
+        manager = ShardManager(
+            data, n_shards=4, replication=2, fault_plan=plan, verify=True
+        )
+        waves = self._record_columns(monkeypatch)
+        lo, hi = data.min(axis=0), data.max(axis=0)
+        queries = rng.uniform(lo, hi, size=(4, 12))
+        answers, timing = manager.knn_batch(queries, 5)
+        full = {n + 1 for n in manager.shard_sizes()}
+        assert waves and all(c in full for _, c in waves)
+        assert timing.corrupt_detected >= 1
+        for query, answer in zip(queries, answers):
+            expected = numpy_knn(data, query, 5)
+            assert answer.indices.tolist() == expected.tolist()
 
 
 class TestAssign:
