@@ -33,6 +33,30 @@ from repro.similarity.quantization import Quantizer
 from repro.similarity.segments import summarize
 
 
+def pim_ed_phi(qv) -> np.ndarray:
+    """Theorem 1's ``Phi(p) = sum p_bar_i^2 - 2 sum floor(p_bar_i)``.
+
+    ``qv`` is a :class:`~repro.similarity.quantization.QuantizedVector`
+    of one vector or a ``(n, dims)`` block; the sum runs over the last
+    axis.
+    """
+    return (qv.scaled**2).sum(axis=-1) - 2.0 * qv.integers.sum(axis=-1)
+
+
+def pim_ed_lower_bound(phi_p, phi_q, dots, dims: int, alpha) -> np.ndarray:
+    """LB_PIM-ED (Theorem 1), clamped at zero.
+
+    ``max(0, (Phi(p) + Phi(q) - 2 floor(p).floor(q) - 2d) / alpha^2)``,
+    elementwise over broadcast inputs: ``dots`` holds the PIM wave's
+    integer dot products and sets the output shape. The clamp is valid
+    (squared ED is non-negative) and tightens the bound for
+    near-identical pairs. Every LB_PIM-ED in the package — mining and
+    serving, kNN and assign — is this one expression.
+    """
+    lb = (phi_p + phi_q - 2.0 * dots - 2.0 * dims) / alpha**2
+    return np.maximum(lb, 0.0, out=lb)
+
+
 class _PIMBoundBase(Bound):
     """Shared machinery: quantizer, controller, wave caching.
 
@@ -179,10 +203,8 @@ class PIMEuclideanBound(_PIMBoundBase):
     """LB_PIM-ED (Theorem 1): quantized lower bound of squared ED.
 
     ``LB = max(0, (Phi(p) + Phi(q) - 2 floor(p).floor(q) - 2d) / alpha^2)``
-    with ``Phi(p) = sum p_bar_i^2 - 2 sum floor(p_bar_i)``.
-
-    The clamp at zero is valid (squared ED is non-negative) and tightens
-    the bound for near-identical pairs.
+    with ``Phi(p) = sum p_bar_i^2 - 2 sum floor(p_bar_i)``; see
+    :func:`pim_ed_lower_bound` and :func:`pim_ed_phi`.
     """
 
     def __init__(
@@ -205,7 +227,7 @@ class PIMEuclideanBound(_PIMBoundBase):
         if not self.quantizer.is_fitted:
             self.quantizer.fit(data)
         qv = self.quantizer.quantize(data)
-        self._phi = (qv.scaled**2).sum(axis=1) - 2.0 * qv.integers.sum(axis=1)
+        self._phi = pim_ed_phi(qv)
         self._dims = data.shape[1]
         side_bytes = self._phi.nbytes
         self.controller.program(self._matrix_name, qv.integers, side_bytes)
@@ -220,12 +242,12 @@ class PIMEuclideanBound(_PIMBoundBase):
         if self._phi is None or self._dims is None:
             raise OperandError(f"{self.name} is not prepared")
         qq = self.quantizer.quantize(np.asarray(query, dtype=np.float64))
-        phi_q = float((qq.scaled**2).sum() - 2.0 * qq.integers.sum())
         dots = self._wave(qq.integers)
         phi = self._phi if indices is None else self._phi[indices]
         d = dots if indices is None else dots[indices]
-        lb = (phi + phi_q - 2.0 * d - 2.0 * self._dims) / self.alpha**2
-        return np.maximum(lb, 0.0)
+        return pim_ed_lower_bound(
+            phi, pim_ed_phi(qq), d, self._dims, self.alpha
+        )
 
     def evaluate_matrix(self, queries: np.ndarray) -> np.ndarray:
         """Bounds for several queries at once, shape ``(N, n_queries)``.
@@ -238,17 +260,14 @@ class PIMEuclideanBound(_PIMBoundBase):
             raise OperandError(f"{self.name} is not prepared")
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         qq = self.quantizer.quantize(queries)
-        phi_q = (qq.scaled**2).sum(axis=1) - 2.0 * qq.integers.sum(axis=1)
         result = self.controller.dot_products_batch(
             self._matrix_name, qq.integers
         )
-        values = self._compensated(result.values)
-        dots = values.T  # (N, n_queries)
-        lb = (
-            self._phi[:, None] + phi_q[None, :] - 2.0 * dots
-            - 2.0 * self._dims
-        ) / self.alpha**2
-        return np.maximum(lb, 0.0)
+        dots = self._compensated(result.values).T  # (N, n_queries)
+        return pim_ed_lower_bound(
+            self._phi[:, None], pim_ed_phi(qq)[None, :], dots, self._dims,
+            self.alpha,
+        )
 
 
 class PIMFNNBound(_PIMBoundBase):

@@ -9,8 +9,8 @@ mid-run. It provides:
   wave corruption, latency spikes, crossbar death, shard crash/hang/
   slowdown);
 * injectors wrapping the existing simulators —
-  :class:`FaultyCrossbar` (cell-level stuck-at for the
-  ``simulate_cells`` path), :class:`FaultyPIMArray` (array-level faults,
+  :class:`FaultyCrossbar` (cell-level stuck-at on one crossbar of the
+  bit-sliced cell model), :class:`FaultyPIMArray` (array-level faults,
   composable with :class:`~repro.hardware.noise.NoisyPIMArray` and the
   :class:`~repro.hardware.endurance.EnduranceTracker`), and
   :class:`FaultyShardEngine` (shard-level crash/hang/slow verdicts the

@@ -3,7 +3,7 @@
 Three injection points, all driven by one :class:`~repro.faults.plan.FaultPlan`:
 
 * :class:`FaultyCrossbar` — a :class:`~repro.hardware.crossbar.Crossbar`
-  with physically stuck cells (the ``simulate_cells`` bit-slice path);
+  with physically stuck cells in its bit-sliced operand columns;
 * :class:`FaultyPIMArray` — a composition wrapper around any array
   (:class:`~repro.hardware.pim_array.PIMArray` or
   :class:`~repro.hardware.noise.NoisyPIMArray` — faults compose with

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.hardware.config import HardwareConfig, pim_platform
 from repro.hardware.memory import MemoryArray
 from repro.hardware.pim_array import PIMArray, PIMBatchResult, PIMQueryResult
@@ -53,7 +54,6 @@ class PIMController:
     def __init__(
         self,
         hardware: HardwareConfig | None = None,
-        simulate_cells: bool = False,
         noise=None,
         spare_crossbars: int = 0,
         reference: bool = False,
@@ -64,19 +64,23 @@ class PIMController:
         memory_device = "reram"
         if noise is not None:
             if substrate != "crossbar":
-                from repro.errors import ConfigurationError
-
                 raise ConfigurationError(
                     "analog noise models apply to the crossbar substrate "
                     f"only, not {substrate!r}"
                 )
+            if reference:
+                # the noise model perturbs the fast path's values only
+                raise ConfigurationError(
+                    "noise cannot be combined with reference=True"
+                )
             from repro.hardware.noise import NoisyPIMArray
 
-            self.pim: PIMArray = NoisyPIMArray(self.hardware, noise)
+            self.pim: PIMArray = NoisyPIMArray(
+                self.hardware, noise, spare_crossbars=spare_crossbars
+            )
         elif substrate == "crossbar":
             self.pim = PIMArray(
                 self.hardware,
-                simulate_cells=simulate_cells,
                 spare_crossbars=spare_crossbars,
                 reference=reference,
             )
@@ -91,7 +95,6 @@ class PIMController:
                 hardware=self.hardware,
                 spare_units=spare_crossbars,
                 reference=reference,
-                simulate_cells=simulate_cells,
             )
             memory_device = substrate_capabilities(
                 substrate, self.hardware

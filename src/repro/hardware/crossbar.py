@@ -159,16 +159,15 @@ class Crossbar:
     # computation
     # ------------------------------------------------------------------
     def dot_product(
-        self,
-        query: np.ndarray,
-        input_bits: int | None = None,
-        reference: bool = False,
+        self, query: np.ndarray, input_bits: int | None = None
     ) -> WaveResult:
         """Compute the dot product of ``query`` with every stored vector.
 
         The query is DAC-sliced into ``ceil(b/g)`` input waves; per wave
         the analog array yields per-column partial sums which the S&H/ADC
         pipeline digitises and the S&A unit shifts into the accumulator.
+        All (operand-slice, input-slice) partials come from one
+        contraction; the shift-add is exact integer arithmetic mod 2**64.
 
         Parameters
         ----------
@@ -177,12 +176,6 @@ class Crossbar:
         input_bits:
             Width of query elements; defaults to the programmed operand
             width.
-        reference:
-            Route through the original one-``einsum``-per-input-slice
-            loop plus the sequential shift-add oracle instead of the
-            fused kernel. Both are exact integer arithmetic mod 2**64,
-            so the results are bit-identical; the loop stays as the
-            independent oracle the fusion property suite checks against.
 
         Returns
         -------
@@ -205,33 +198,13 @@ class Crossbar:
         grouped = cells[:, :used_cols].reshape(
             self._rows_used, self._num_vectors, n_op
         )
-        if reference:
-            q_slices = bitslice.slice_operands_reference(
-                query, bits, self.config.dac_bits
-            )
-            n_in = q_slices.shape[-1]
-            partials = np.empty(
-                (n_op, n_in, self._num_vectors), dtype=np.int64
-            )
-            for k in range(n_in):
-                q_k = q_slices[:, k].astype(np.int64)
-                # analog MAC: every column sees the same input wave.
-                partials[:, k, :] = np.einsum("r,rvj->jv", q_k, grouped)
-            values = bitslice.shift_add_partials_reference(
-                partials, self.config.cell_bits, self.config.dac_bits
-            )
-        else:
-            q_slices = bitslice.slice_operands(
-                query, bits, self.config.dac_bits
-            )
-            n_in = q_slices.shape[-1]
-            # all (operand-slice, input-slice) partials in one contraction
-            partials = np.einsum(
-                "rk,rvj->jkv", q_slices.astype(np.int64), grouped
-            )
-            values = bitslice.shift_add_partials(
-                partials, self.config.cell_bits, self.config.dac_bits
-            )
+        q_slices = bitslice.slice_operands(query, bits, self.config.dac_bits)
+        n_in = q_slices.shape[-1]
+        # analog MAC: every column sees the same input wave
+        partials = np.einsum("rk,rvj->jkv", q_slices.astype(np.int64), grouped)
+        values = bitslice.shift_add_partials(
+            partials, self.config.cell_bits, self.config.dac_bits
+        )
         return WaveResult(
             values=values,
             cycles=n_in,

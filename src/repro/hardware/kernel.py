@@ -23,9 +23,9 @@ verified matrix takes: the ABFT checksum row
 (:mod:`repro.faults.integrity`) is a residue up to ``2**operand_bits``,
 far beyond the data's own range.
 
-The cell-level paths (the fused bit-sliced kernel, the crossbar loop
-oracle and the HBM instruction-stream oracle) stay pure int64: they are
-the independent oracles this kernel is tested against.
+The cell-level paths (the crossbar oracle and the HBM instruction-stream
+oracle) stay pure int64: they are the independent oracles this kernel
+is tested against.
 
 A dispatch that reads only some of a matrix's rows passes them as
 ``rows``, a list of row ranges (``slice`` objects). Each range is a

@@ -130,8 +130,9 @@ class NoisyPIMArray(PIMArray):
         self,
         hardware: HardwareConfig | None = None,
         noise: NoiseModel | None = None,
+        spare_crossbars: int = 0,
     ) -> None:
-        super().__init__(hardware, simulate_cells=False)
+        super().__init__(hardware, spare_crossbars=spare_crossbars)
         self.noise = noise if noise is not None else NoiseModel()
         self._rng = np.random.default_rng(self.noise.seed)
 

@@ -6,26 +6,23 @@ Hamming distance) are programmed once at the offline stage; at the online
 stage a *wave* evaluates one query vector against every programmed vector
 of a matrix concurrently and deposits the results in the buffer array.
 
-Three execution paths produce identical values:
+Two execution paths produce identical values:
 
 * the default fast path computes the integer matrix-vector product with
   the shared exact value kernel (:mod:`repro.hardware.kernel`: float64
   BLAS while provably exact, int64 past the guard — the bit-sliced
   analog pipeline is value-exact, so this is a pure optimisation), while
   still charging the cycle-accurate wave latency;
-* ``simulate_cells=True`` runs the *fused* bit-sliced kernel: the
-  operand bit-slice decomposition is precomputed at ``program()`` time
-  (cached per matrix, dropped on reprogram/remap) and every wave is one
-  whole-array tensor contraction over (operand-slice, input-slice)
-  partials — cell-faithful DAC/ADC bit-slicing without Python loops; and
-* ``simulate_cells=True, reference=True`` shards the matrix over real
+* ``reference=True`` shards the matrix over real
   :class:`~repro.hardware.crossbar.Crossbar` objects and merges their
-  partial results per crossbar and per slice — the slow loop oracle the
-  fused kernel is checked against, bit for bit, on small geometries.
+  bit-sliced partial results per crossbar — the slow cell-level oracle
+  the fast path is checked against, bit for bit, on small geometries.
 
-All three share the analytical timing model (latency is computed from
-the layout, not from the execution style), so simulated times are
-identical by construction; the fusion golden tests pin them anyway.
+Both paths allocate physical crossbar ids, charge endurance and recycle
+freed ids through the same code, and share the analytical timing model
+(latency is computed from the layout, not from the execution style), so
+simulated times and wear are identical by construction; the golden
+timing tests pin them anyway.
 """
 
 from __future__ import annotations
@@ -227,12 +224,9 @@ class PIMStats:
 class _ProgrammedMatrix:
     """Internal record of one programmed matrix.
 
-    ``matrix`` is the single resident copy the value kernel reads.
-    ``sliced`` caches the operand bit-slice decomposition the fused
-    cell-level kernel contracts against — shape ``(n_vectors, dims,
-    n_operand_slices)``, int64. It is built at program time, rebuilt
-    lazily after :meth:`drop_sliced` (any reprogram/remap event), and
-    absent entirely on the fast and reference paths.
+    ``matrix`` is the single resident copy the value kernel reads;
+    ``crossbars`` holds the cell-level oracle's crossbar objects
+    (``reference=True`` only).
     """
 
     def __init__(
@@ -240,17 +234,12 @@ class _ProgrammedMatrix:
         matrix: ExactMatrix,
         layout: DatasetLayout,
         crossbars: list[list[Crossbar]] | None,
-        crossbar_ids: list[int] | None = None,
+        crossbar_ids: list[int],
     ) -> None:
         self.matrix = matrix
         self.layout = layout
-        self.crossbars = crossbars  # only in simulate_cells mode
-        self.crossbar_ids = crossbar_ids or []
-        self.sliced: np.ndarray | None = None
-
-    def drop_sliced(self) -> None:
-        """Invalidate the cached bit-slice decomposition."""
-        self.sliced = None
+        self.crossbars = crossbars
+        self.crossbar_ids = crossbar_ids
 
 
 class PIMArray:
@@ -261,14 +250,12 @@ class PIMArray:
     hardware:
         Platform description; must contain a PIM array. Defaults to the
         paper's Table 5 platform.
-    simulate_cells:
-        Route every wave through cell-faithful bit-sliced computation
-        (the fused whole-array kernel by default).
     reference:
-        With ``simulate_cells``, use the original per-crossbar/per-slice
-        loop oracle instead of the fused kernel. Bit-identical values,
-        orders of magnitude slower; intended for small-geometry
-        verification and as the perf-trajectory baseline.
+        Route every wave through the cell-level oracle: real crossbar
+        objects holding the bit-sliced operands, evaluated per crossbar
+        and merged. Bit-identical values, orders of magnitude slower;
+        intended for small-geometry verification and as the
+        perf-trajectory baseline.
     spare_crossbars:
         Crossbars withheld from data placement as a repair pool. A
         stuck/dead crossbar can be remapped onto the least-worn spare
@@ -279,20 +266,13 @@ class PIMArray:
     def __init__(
         self,
         hardware: HardwareConfig | None = None,
-        simulate_cells: bool = False,
         spare_crossbars: int = 0,
         reference: bool = False,
     ) -> None:
         self.hardware = hardware if hardware is not None else pim_platform()
         if self.hardware.pim is None:
             raise ProgrammingError("hardware platform has no PIM array")
-        if reference and not simulate_cells:
-            raise ProgrammingError(
-                "reference=True is the loop oracle of the cell-level "
-                "path; it requires simulate_cells=True"
-            )
         self.config: PIMArrayConfig = self.hardware.pim
-        self.simulate_cells = simulate_cells
         self.reference = reference
         self.buffer = BufferArray(self.hardware.memory)
         self.endurance = EnduranceTracker(self.config.crossbar.endurance)
@@ -355,31 +335,24 @@ class PIMArray:
                 f"programming {name!r} would use {used} crossbars, "
                 f"array has {self.data_capacity}{detail}"
             )
-        crossbars: list[list[Crossbar]] | None = None
+        # charge endurance at layout granularity (one write per data or
+        # gather crossbar), reusing freed physical crossbars so repeated
+        # re-programming accumulates wear on the same cells
         crossbar_ids: list[int] = []
-        if self.simulate_cells:
-            crossbars = self._program_cells(matrix, layout)
-            crossbar_ids = [
-                xbar.crossbar_id for column in crossbars for xbar in column
-            ]
-        else:
-            # charge endurance at layout granularity (one write per
-            # crossbar), reusing freed physical crossbars so repeated
-            # re-programming accumulates wear on the same cells
-            for _ in range(layout.n_crossbars):
-                if self._free_crossbar_ids:
-                    unit = self._free_crossbar_ids.pop()
-                else:
-                    unit = self._next_crossbar_id
-                    self._next_crossbar_id += 1
-                self.endurance.record_write(unit)
-                crossbar_ids.append(unit)
-        record = _ProgrammedMatrix(
+        for _ in range(layout.n_crossbars):
+            if self._free_crossbar_ids:
+                unit = self._free_crossbar_ids.pop()
+            else:
+                unit = self._next_crossbar_id
+                self._next_crossbar_id += 1
+            self.endurance.record_write(unit)
+            crossbar_ids.append(unit)
+        crossbars = None
+        if self.reference:
+            crossbars = self._program_cells(matrix, crossbar_ids)
+        self._matrices[name] = _ProgrammedMatrix(
             ExactMatrix(matrix, top), layout, crossbars, crossbar_ids
         )
-        if self.simulate_cells and not self.reference:
-            record.sliced = self._decompose(matrix)
-        self._matrices[name] = record
         self.stats.crossbars_used = used
         self.stats.matrices[name] = layout
         program_ns = programming_time_ns(layout, self.config)
@@ -399,23 +372,23 @@ class PIMArray:
         return layout
 
     def _program_cells(
-        self, matrix: np.ndarray, layout: DatasetLayout
+        self, matrix: np.ndarray, crossbar_ids: list[int]
     ) -> list[list[Crossbar]]:
-        """Shard the matrix over real crossbar objects (simulate mode)."""
+        """Shard the matrix over real crossbar objects (the cell oracle).
+
+        The objects take the first (data) crossbar ids of the layout and
+        track no endurance: the allocation loop already charged it.
+        """
         rows = self.config.crossbar.rows
         per_xbar = vectors_per_crossbar(self.config)
         n_vectors, dims = matrix.shape
+        ids = iter(crossbar_ids)
         shards: list[list[Crossbar]] = []
         for v0 in range(0, n_vectors, per_xbar):
             chunk_vectors = matrix[v0 : v0 + per_xbar]
             column: list[Crossbar] = []
             for d0 in range(0, dims, rows):
-                xbar = Crossbar(
-                    self.config.crossbar,
-                    crossbar_id=self._next_crossbar_id,
-                    endurance_tracker=self.endurance,
-                )
-                self._next_crossbar_id += 1
+                xbar = Crossbar(self.config.crossbar, crossbar_id=next(ids))
                 xbar.program(
                     chunk_vectors[:, d0 : d0 + rows], self.config.operand_bits
                 )
@@ -438,21 +411,13 @@ class PIMArray:
         self.stats.crossbars_used -= record.layout.n_crossbars
         del self.stats.matrices[name]
         self.stats.per_matrix.pop(name, None)
-        record.drop_sliced()
-        if record.crossbars is None:
-            # cell-mode crossbar objects are not recycled; only the
-            # fast path returns physical ids to the free pool
-            self._free_crossbar_ids.extend(record.crossbar_ids)
+        self._free_crossbar_ids.extend(record.crossbar_ids)
         tele = get_recorder()
         if tele.enabled:
             tele.metrics.counter("pim.matrix_resets").add(1)
             tele.metrics.gauge("pim.crossbars_used").set(
                 self.stats.crossbars_used
             )
-        if record.crossbars is not None:
-            for column in record.crossbars:
-                for xbar in column:
-                    xbar.reset()
 
     def layouts(self) -> dict[str, DatasetLayout]:
         """Layouts of all programmed matrices."""
@@ -527,10 +492,6 @@ class PIMArray:
         self._spare_ids.remove(spare)
         self.endurance.record_write(spare)
         record.crossbar_ids[record.crossbar_ids.index(old_id)] = spare
-        # the logical values are reprogrammed onto the spare: any cached
-        # bit-slice decomposition is rebuilt from scratch on next query
-        # (defensively — stale cell state must never outlive a remap)
-        record.drop_sliced()
         if record.crossbars is not None:
             for column in record.crossbars:
                 for xbar in column:
@@ -636,7 +597,7 @@ class PIMArray:
                 f"query must be a vector of length {record.layout.dims}"
             )
         if record.crossbars is not None:
-            values = self._cell_values(record, vector[np.newaxis, :], bits)[0]
+            values = self._query_cells(record, vector, bits)
         else:
             values = record.matrix.dot(vector[np.newaxis, :], top)[0]
         values = bitslice.truncate_result(values, self.config.accumulator_bits)
@@ -858,79 +819,23 @@ class PIMArray:
             m["adc_conversions"].add(results / waves * cycles)
         m["results_produced"].add(results)
 
-    def _decompose(self, matrix: np.ndarray) -> np.ndarray:
-        """Operand bit-slice tensor of ``matrix`` for the fused kernel.
-
-        Shape ``(n_vectors, dims, n_operand_slices)``; slice ``j`` holds
-        bits ``[j*h, (j+1)*h)`` of each operand — exactly the cell
-        contents :meth:`_program_cells` writes, reassembled whole-array.
-        """
-        return bitslice.slice_operands(
-            matrix, self.config.operand_bits, self.config.crossbar.cell_bits
-        ).astype(np.int64)
-
     def _cell_values(
         self, record: _ProgrammedMatrix, vectors: np.ndarray, bits: int
     ) -> np.ndarray:
-        """Cell-level values of a ``(B, dims)`` query block.
-
-        Fused kernel by default; ``reference=True`` replays the
-        per-crossbar loop oracle row by row. Both are exact integer
-        arithmetic mod 2**64 over the same (operand-slice, input-slice)
-        partials, so the results are bit-identical — the fusion property
-        suite holds this line.
-        """
-        if self.reference:
-            return np.vstack(
-                [self._query_cells(record, v, bits) for v in vectors]
-            )
-        return self._query_fused(record, vectors, bits)
-
-    def _query_fused(
-        self, record: _ProgrammedMatrix, vectors: np.ndarray, bits: int
-    ) -> np.ndarray:
-        """Whole-array bit-sliced wave: one contraction, one shift-add.
-
-        The crossbar loop computes, per crossbar/input slice/operand
-        slice, ``partials[j, k] = sum_r Q_k[r] * cell_j[r, v]`` and
-        shift-adds ``partials[j, k] << (j*h + k*g)``. Mod-2**64 integer
-        arithmetic is a commutative ring, and the DAC slices recombine
-        exactly (``sum_k Q_k * 2**(k*g) == q``), so the per-input-slice
-        axis folds away algebraically: contracting the *unsliced* query
-        against each cached operand-slice plane and shift-adding over
-        operand slices alone is bit-identical to the loop — at a
-        fraction of the multiplies. The property suite pins the
-        equivalence against the crossbar oracle.
-        """
-        sliced = record.sliced
-        if sliced is None:  # dropped by a reprogram/remap — rebuild
-            matrix = record.matrix.as_int64()
-            sliced = record.sliced = self._decompose(matrix)
-        queries = np.atleast_2d(vectors).astype(np.int64)  # (B, dims)
-        # contract the shared dims axis: -> (B, n_vectors, n_op)
-        planes = np.tensordot(queries, sliced, axes=([1], [1]))
-        # operand-slice shift-add; the input-slice axis is a singleton
-        # because the DAC slices were recombined before the contraction
-        partials = planes.transpose(2, 0, 1)[:, np.newaxis]
-        return bitslice.shift_add_partials(
-            partials,
-            self.config.crossbar.cell_bits,
-            self.config.crossbar.dac_bits,
-        )
+        """Cell-level values of a ``(B, dims)`` query block, row by row."""
+        return np.vstack([self._query_cells(record, v, bits) for v in vectors])
 
     def _query_cells(
         self, record: _ProgrammedMatrix, vector: np.ndarray, bits: int
     ) -> np.ndarray:
-        """Per-crossbar bit-sliced evaluation (the loop oracle)."""
+        """Per-crossbar bit-sliced evaluation of one query (the oracle)."""
         rows = self.config.crossbar.rows
         outputs: list[np.ndarray] = []
         for column in record.crossbars or []:
             partial_sum: np.ndarray | None = None
             for i, xbar in enumerate(column):
                 segment = vector[i * rows : i * rows + xbar._rows_used]
-                wave = xbar.dot_product(
-                    segment, input_bits=bits, reference=True
-                )
+                wave = xbar.dot_product(segment, input_bits=bits)
                 partial_sum = (
                     wave.values
                     if partial_sum is None

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.bounds.pim import pim_ed_lower_bound, pim_ed_phi
 from repro.cost.counters import PerfCounters
 from repro.cost.model import CostModel
 from repro.errors import (
@@ -850,7 +851,7 @@ class ShardManager:
         self.cost_model = CostModel(self.hardware)
         qv = self.quantizer.quantize(data)
         normalized = self.quantizer.normalize(data)
-        phi = (qv.scaled**2).sum(axis=1) - 2.0 * qv.integers.sum(axis=1)
+        phi = pim_ed_phi(qv)
         self.chunk_rows: list[np.ndarray] = [
             self.placement.rows_of(c) for c in range(self.n_chunks)
         ]
@@ -1170,8 +1171,7 @@ class ShardManager:
         queries = self.check_queries(queries)
         qv = self.quantizer.quantize(queries)
         normalized = self.quantizer.normalize(queries)
-        phi_q = (qv.scaled**2).sum(axis=1) - 2.0 * qv.integers.sum(axis=1)
-        return qv.integers, normalized, phi_q
+        return qv.integers, normalized, pim_ed_phi(qv)
 
     # ------------------------------------------------------------------
     # fault-tolerant chunk dispatch
@@ -1691,23 +1691,20 @@ class ShardManager:
     def _shard_topk(
         self,
         shard: _Shard,
-        dots: np.ndarray,
-        phi_q: float,
+        lb: np.ndarray,
         q_norm: np.ndarray,
         k: int,
         approximate: bool,
         sel: np.ndarray | None = None,
-        lb: np.ndarray | None = None,
     ) -> tuple[_CanonicalHeap, int, int]:
         """Local top-k of one query on one shard (canonical order).
 
-        ``sel`` restricts the work to a subset of the shard's local rows
-        (the chunks this shard serves in the current dispatch, under
-        replication); ``dots`` must already be restricted to match.
-        ``lb`` accepts the precomputed clamped lower bounds when the
-        caller batched that work across queries (:meth:`knn_batch`); it
-        is recomputed here when absent. Only the rows the scan reaches
-        are gathered from ``shard.floats``.
+        ``lb`` holds the query's LB_PIM-ED against each row, computed
+        for the whole batch by :meth:`knn_batch`. ``sel`` restricts the
+        work to a subset of the shard's local rows (the chunks this
+        shard serves in the current dispatch, under replication); ``lb``
+        must already be restricted to match. Only the rows the scan
+        reaches are gathered from ``shard.floats``.
         """
         heap = _CanonicalHeap(k)
         gidx = shard.global_indices
@@ -1716,11 +1713,6 @@ class ShardManager:
         n_local = int(gidx.size)
         if n_local == 0:
             return heap, 0, 0
-        if lb is None:
-            phi = shard.phi if sel is None else shard.phi[sel]
-            alpha2 = self.quantizer.alpha**2
-            lb = (phi + phi_q - 2.0 * dots - 2.0 * self.dims) / alpha2
-            np.maximum(lb, 0.0, out=lb)
         if approximate:
             # degrade-to-approximate: the lower bound IS the score
             short = next(_canonical_blocks(lb, gidx, k))[:k]
@@ -1846,29 +1838,23 @@ class ShardManager:
 
         def process(shard: _Shard, sel, dots) -> float:
             n_local = shard.n_rows if sel is None else int(sel.size)
-            lb_all = None
-            if not self.reference and n_local:
-                # Batched bound pipeline: one broadcast lb construction
-                # for the whole batch; each query then orders only the
-                # prefix of its bounds its scan reaches.
-                phi = shard.phi if sel is None else shard.phi[sel]
-                alpha2 = self.quantizer.alpha**2
-                lb_all = (
-                    phi[None, :] + phi_q[:, None]
-                    - 2.0 * dots - 2.0 * self.dims
-                ) / alpha2
-                np.maximum(lb_all, 0.0, out=lb_all)
+            # one broadcast bound construction for the whole batch; each
+            # query then orders only the prefix of its bounds its scan
+            # reaches
+            phi = shard.phi if sel is None else shard.phi[sel]
+            lb_all = pim_ed_lower_bound(
+                phi[None, :], phi_q[:, None], dots, self.dims,
+                self.quantizer.alpha,
+            )
             refined_here = 0
             for b in range(batch):
                 heap, refined, pruned = self._shard_topk(
                     shard,
-                    dots[b],
-                    float(phi_q[b]),
+                    lb_all[b],
                     q_norm[b],
                     min(k_list[b], max(self.n_rows, 1)),
                     approx_list[b],
                     sel=sel,
-                    lb=None if lb_all is None else lb_all[b],
                 )
                 per_query_heaps[b].append(heap)
                 refined_total[b] += refined
@@ -1943,7 +1929,7 @@ class ShardManager:
         timing = GatherTiming()
         tele = get_recorder()
         t0 = self._clock_ns if now_ns is None else float(now_ns)
-        alpha2 = self.quantizer.alpha**2
+        alpha = self.quantizer.alpha
         stats = {"refined": 0, "visited": 0}
 
         def process(shard: _Shard, sel, dots) -> float:
@@ -1953,11 +1939,9 @@ class ShardManager:
             refined = 0
             if self.reference:
                 for col, j in enumerate(idx):
-                    lb = (
-                        shard.phi[j] + phi_c - 2.0 * dots[:, col]
-                        - 2.0 * self.dims
-                    ) / alpha2
-                    np.maximum(lb, 0.0, out=lb)
+                    lb = pim_ed_lower_bound(
+                        shard.phi[j], phi_c, dots[:, col], self.dims, alpha
+                    )
                     best_d = np.inf
                     best_c = 0
                     row = shard.floats[j]
@@ -1987,11 +1971,10 @@ class ShardManager:
             # per-center gathers save.
             n_here = int(idx.size)
             if n_here:
-                lb = (
-                    shard.phi[idx][:, np.newaxis] + phi_c[np.newaxis, :]
-                    - 2.0 * dots.T - 2.0 * self.dims
-                ) / alpha2
-                np.maximum(lb, 0.0, out=lb)
+                lb = pim_ed_lower_bound(
+                    shard.phi[idx][:, np.newaxis], phi_c[np.newaxis, :],
+                    dots.T, self.dims, alpha,
+                )
                 rows = shard.floats[idx]
                 best_d = np.full(n_here, np.inf)
                 best_c = np.zeros(n_here, dtype=np.int64)

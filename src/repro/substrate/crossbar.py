@@ -95,17 +95,12 @@ def build_crossbar(
     hardware: HardwareConfig | None = None,
     spare_units: int = 0,
     reference: bool = False,
-    simulate_cells: bool = False,
 ) -> PIMArray:
     """Registry factory for the ``"crossbar"`` backend.
 
-    ``reference=True`` implies the cell-level path (the loop oracle is
-    defined on it), matching the convention the other backends follow:
-    the flag alone selects the substrate's slow exact oracle.
+    ``reference=True`` selects the cell-level crossbar oracle, the
+    substrate's slow exact path.
     """
     return PIMArray(
-        hardware=hardware,
-        simulate_cells=simulate_cells or reference,
-        spare_crossbars=spare_units,
-        reference=reference,
+        hardware=hardware, spare_crossbars=spare_units, reference=reference
     )

@@ -111,10 +111,6 @@ class HBMPIMArray:
         Execute every wave through the MOV/FILL/MAC instruction-stream
         oracle (:meth:`BankedMatrixStore.dot_reference`) instead of the
         shared exact value kernel. Bit-identical, much slower to simulate.
-    simulate_cells:
-        Accepted for factory symmetry with the crossbar backend; the
-        instruction-level oracle *is* this substrate's cell-faithful
-        mode, so the flag selects the same path as ``reference``.
     """
 
     unit_name = "bank"
@@ -124,13 +120,12 @@ class HBMPIMArray:
         hardware: HardwareConfig | None = None,
         spare_banks: int = 0,
         reference: bool = False,
-        simulate_cells: bool = False,
     ) -> None:
         self.hardware = (
             hardware if hardware is not None else hbm_pim_platform()
         )
         self.config: HBMPIMConfig = hbm_config_for(self.hardware)
-        self.reference = bool(reference or simulate_cells)
+        self.reference = bool(reference)
         self.buffer = BufferArray(self.hardware.memory)
         self.endurance = EnduranceTracker(self.config.endurance)
         self.stats = PIMStats(backend="hbm_pim")
@@ -688,12 +683,8 @@ def build_hbm_pim(
     hardware: HardwareConfig | None = None,
     spare_units: int = 0,
     reference: bool = False,
-    simulate_cells: bool = False,
 ) -> HBMPIMArray:
     """Registry factory for the ``"hbm_pim"`` backend."""
     return HBMPIMArray(
-        hardware=hardware,
-        spare_banks=spare_units,
-        reference=reference,
-        simulate_cells=simulate_cells,
+        hardware=hardware, spare_banks=spare_units, reference=reference
     )

@@ -44,8 +44,9 @@ class Substrate(Protocol):
       crossbar-era ``crossbar_ids_of``/``remap_crossbar(s)`` names are
       kept as aliases so the repair layer runs unmodified on any
       backend;
-    * ``reference=True`` construction selects a slow instruction-level
-      oracle that is bit-identical to the fast path.
+    * ``reference=True`` construction, the only oracle switch, selects
+      a slow cell- or instruction-level oracle that is bit-identical to
+      the fast path.
     """
 
     unit_name: str

@@ -21,7 +21,7 @@ from repro.substrate.protocol import Substrate, SubstrateCapabilities
 class SubstrateSpec:
     """One registered backend.
 
-    ``factory(hardware, spare_units, reference, simulate_cells)`` builds
+    ``factory(hardware, spare_units, reference)`` builds
     a live device; ``capabilities(hardware)`` builds the planner-facing
     descriptor without touching a device.
     """
@@ -67,14 +67,10 @@ def create_substrate(
     hardware=None,
     spare_units: int = 0,
     reference: bool = False,
-    simulate_cells: bool = False,
 ) -> Substrate:
     """Build a live device of the named backend."""
     return _spec(name).factory(
-        hardware=hardware,
-        spare_units=spare_units,
-        reference=reference,
-        simulate_cells=simulate_cells,
+        hardware=hardware, spare_units=spare_units, reference=reference
     )
 
 

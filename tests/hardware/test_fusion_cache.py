@@ -1,12 +1,16 @@
-"""Regression tests: the fused kernel's bit-slice cache never goes stale.
+"""Regression tests: the cell-level oracle tracks what the crossbars hold.
 
-The fused cell-level path contracts queries against a decomposition
-cached at ``program_matrix`` time. Every event that changes what the
-crossbars physically hold — reset + reprogram under the same name, a
-spare-pool remap of one crossbar, bulk remaps — must drop that cache so
-the next wave rebuilds it from the live matrix. A stale cache would
-silently serve the *previous* matrix's bits: exactly the class of bug
-these tests pin.
+``PIMArray(reference=True)`` evaluates every wave on real crossbar
+objects. Every event that changes what the crossbars physically hold —
+reset + reprogram under the same name, a spare-pool remap of one
+crossbar, bulk remaps — must leave the oracle serving the *live*
+matrix's values, bit-identical to the fast path. A stale crossbar
+object would silently serve the previous matrix's bits: exactly the
+class of bug these tests pin.
+
+The oracle also allocates, wears and recycles physical crossbar ids
+through the fast path's own code, so both paths report the same
+placement and wear at every step.
 """
 
 import numpy as np
@@ -45,26 +49,16 @@ def query():
     return (np.arange(14, dtype=np.int64) * 7) % 256
 
 
+def _cell_ids(array, name):
+    record = array._matrices[name]
+    return [xbar.crossbar_id for column in record.crossbars for xbar in column]
+
+
 class TestDecompositionCache:
-    def test_fused_mode_caches_at_program_time(self, platform, matrix):
-        array = PIMArray(platform, simulate_cells=True)
-        array.program_matrix("m", matrix)
-        record = array._matrices["m"]
-        assert record.sliced is not None
-        assert record.sliced.shape == matrix.shape + (4,)  # ceil(8/2)
-
-    def test_fast_and_reference_modes_do_not_cache(self, platform, matrix):
-        for array in (
-            PIMArray(platform),
-            PIMArray(platform, simulate_cells=True, reference=True),
-        ):
-            array.program_matrix("m", matrix)
-            assert array._matrices["m"].sliced is None
-
     def test_reprogram_same_name_serves_fresh_values(
         self, platform, matrix, query
     ):
-        array = PIMArray(platform, simulate_cells=True)
+        array = PIMArray(platform, reference=True)
         array.program_matrix("m", matrix)
         stale = array.query("m", query).values
         successor = (matrix + 1) % 251
@@ -79,28 +73,20 @@ class TestDecompositionCache:
     def test_remap_drops_cache_and_retargets_cells(
         self, platform, matrix, query
     ):
-        array = PIMArray(platform, simulate_cells=True, spare_crossbars=2)
+        array = PIMArray(platform, reference=True, spare_crossbars=2)
         array.program_matrix("m", matrix)
         expected = array.query("m", query).values
-        record = array._matrices["m"]
-        assert record.sliced is not None
-        victim = record.crossbar_ids[0]
+        victim = array.crossbar_ids_of("m")[0]
         spare, reprogram_ns = array.remap_crossbar(victim)
         assert reprogram_ns > 0
-        assert record.sliced is None  # cache invalidated by the remap
-        # the cell-mode crossbar object now answers to the spare id
-        remapped = [
-            xbar.crossbar_id
-            for column in record.crossbars
-            for xbar in column
-        ]
+        # the crossbar object now answers to the spare id
+        remapped = _cell_ids(array, "m")
         assert spare in remapped and victim not in remapped
-        # values rebuilt from the live matrix: bit-identical to before
+        # values come from the live cells: bit-identical to before
         assert np.array_equal(array.query("m", query).values, expected)
-        assert record.sliced is not None  # lazily rebuilt by the wave
 
     def test_bulk_remap_preserves_values(self, platform, matrix, query):
-        array = PIMArray(platform, simulate_cells=True, spare_crossbars=4)
+        array = PIMArray(platform, reference=True, spare_crossbars=4)
         array.program_matrix("m", matrix)
         expected = array.query("m", query).values
         victims = array.crossbar_ids_of("m")[:2]
@@ -112,19 +98,21 @@ class TestDecompositionCache:
     def test_remap_invalidates_reference_path_too(
         self, platform, matrix, query
     ):
-        # the loop oracle reads live crossbar objects, so a remap (which
-        # only renames ids) must not perturb its values either
-        array = PIMArray(
-            platform, simulate_cells=True, reference=True, spare_crossbars=2
-        )
+        # a gather crossbar has no cell object: remapping it renames an
+        # id only, and must perturb neither the cells nor their values
+        array = PIMArray(platform, reference=True, spare_crossbars=2)
         array.program_matrix("m", matrix)
         expected = array.query("m", query).values
-        array.remap_crossbar(array.crossbar_ids_of("m")[0])
+        cells_before = _cell_ids(array, "m")
+        gather = array.crossbar_ids_of("m")[-1]
+        assert gather not in cells_before
+        array.remap_crossbar(gather)
+        assert _cell_ids(array, "m") == cells_before
         assert np.array_equal(array.query("m", query).values, expected)
 
     def test_batch_after_reprogram_matches_fast_path(self, platform, matrix):
         queries = (np.arange(3 * 14, dtype=np.int64).reshape(3, 14) * 5) % 256
-        array = PIMArray(platform, simulate_cells=True)
+        array = PIMArray(platform, reference=True)
         array.program_matrix("m", matrix)
         array.query_batch("m", queries)
         successor = (matrix * 3) % 256
@@ -135,4 +123,54 @@ class TestDecompositionCache:
         assert np.array_equal(
             array.query_batch("m", queries).values,
             oracle.query_batch("m", queries).values,
+        )
+
+
+class TestCellOracleAccounting:
+    """Fast path and cell oracle report the same physical accounting."""
+
+    @staticmethod
+    def _snapshot(array):
+        return (
+            array.crossbar_ids_of("m"),
+            array.wear_report(),
+            array.stats.crossbars_used,
+            array.spares_remaining,
+        )
+
+    def test_ids_wear_and_spares_match_across_lifecycle(
+        self, platform, matrix, query
+    ):
+        arrays = [
+            PIMArray(platform, spare_crossbars=3),
+            PIMArray(platform, spare_crossbars=3, reference=True),
+        ]
+        steps = []
+        for array in arrays:
+            trail = []
+            array.program_matrix("m", matrix)
+            trail.append(self._snapshot(array))
+            array.reset_matrix("m")
+            array.program_matrix("m", (matrix + 1) % 251)
+            trail.append(self._snapshot(array))
+            ids = array.crossbar_ids_of("m")
+            # one data crossbar and one gather crossbar
+            array.remap_crossbars([ids[0], ids[-1]])
+            trail.append(self._snapshot(array))
+            trail.append(array.query("m", query).values.tolist())
+            steps.append(trail)
+        assert steps[0] == steps[1]
+        ids, wear, used, spares = steps[1][1]
+        layout = arrays[1].layouts()["m"]
+        # data plus gather crossbars, reused after the reset
+        assert used == layout.n_crossbars == len(ids) == 15
+        assert layout.n_data_crossbars == 10
+        assert sorted(ids) == sorted(steps[1][0][0])
+        assert wear["units_tracked"] == 15
+        assert wear["total_writes"] == 30
+        assert spares == 3
+        assert steps[1][2][3] == 1
+        # the cell objects sit on the first (data) ids, remaps included
+        assert _cell_ids(arrays[1], "m") == (
+            arrays[1].crossbar_ids_of("m")[: layout.n_data_crossbars]
         )

@@ -81,6 +81,19 @@ class TestNoisyArray:
         assert not np.array_equal(noisy, truth)
 
 
+class TestNoisyController:
+    def test_spare_pool_reaches_the_noisy_array(self, noise):
+        controller = PIMController(noise=noise, spare_crossbars=4)
+        assert isinstance(controller.pim, NoisyPIMArray)
+        assert controller.pim.spare_crossbars == 4
+        assert controller.pim.spares_remaining == 4
+
+    def test_noise_with_cell_oracle_is_refused(self, noise):
+        # the noise model perturbs the fast path only
+        with pytest.raises(ConfigurationError, match="reference"):
+            PIMController(noise=noise, reference=True)
+
+
 class TestCompensation:
     def test_upper_covers_truth(self, noise, rng):
         array = NoisyPIMArray(HardwareConfig(pim=PIMArrayConfig()), noise)

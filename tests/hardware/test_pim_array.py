@@ -172,8 +172,8 @@ class TestCellSimulationEquivalence:
     def test_fast_path_matches_cell_path(self, small_pim_platform, rng):
         matrix = rng.integers(0, 256, size=(7, 19))
         query = rng.integers(0, 256, size=19)
-        fast = PIMArray(small_pim_platform, simulate_cells=False)
-        cells = PIMArray(small_pim_platform, simulate_cells=True)
+        fast = PIMArray(small_pim_platform)
+        cells = PIMArray(small_pim_platform, reference=True)
         fast.program_matrix("d", matrix)
         cells.program_matrix("d", matrix)
         v_fast = fast.query("d", query).values
@@ -184,7 +184,7 @@ class TestCellSimulationEquivalence:
     def test_cell_path_tracks_endurance_per_crossbar(
         self, small_pim_platform, rng
     ):
-        array = PIMArray(small_pim_platform, simulate_cells=True)
+        array = PIMArray(small_pim_platform, reference=True)
         array.program_matrix("d", rng.integers(0, 256, size=(4, 16)))
         assert array.endurance.total_writes > 0
 
@@ -220,7 +220,7 @@ class TestBatchQueries:
 
     def test_cell_path_matches_fast_path(self, small_pim_platform, rng):
         fast = PIMArray(small_pim_platform)
-        cells = PIMArray(small_pim_platform, simulate_cells=True)
+        cells = PIMArray(small_pim_platform, reference=True)
         matrix = rng.integers(0, 256, size=(2, 8))
         queries = rng.integers(0, 256, size=(3, 8))
         fast.program_matrix("a", matrix)

@@ -45,7 +45,7 @@ class TestCellLevelKNN:
         q = np.clip(data[7] + 0.02 * rng.standard_normal(12), 0, 1)
         # alpha sized to the 10-bit operand width of the tiny platform
         quantizer = Quantizer(alpha=1000, assume_normalized=True)
-        controller = PIMController(cell_platform, simulate_cells=True)
+        controller = PIMController(cell_platform, reference=True)
         ref = StandardKNN().fit(data).query(q, 5)
         algo = StandardPIMKNN(
             controller=controller, quantizer=quantizer
@@ -53,17 +53,15 @@ class TestCellLevelKNN:
         res = algo.query(q, 5)
         assert np.allclose(np.sort(res.scores), np.sort(ref.scores))
         # the wave really ran on cell objects
-        assert controller.pim.simulate_cells
+        assert controller.pim.reference
         assert controller.pim.stats.waves >= 1
 
     def test_cell_and_fast_paths_agree_end_to_end(self, cell_platform, rng):
         data = np.clip(rng.random((40, 12)), 0, 1)
         q = rng.random(12)
         results = []
-        for simulate in (False, True):
-            controller = PIMController(
-                cell_platform, simulate_cells=simulate
-            )
+        for reference in (False, True):
+            controller = PIMController(cell_platform, reference=reference)
             algo = StandardPIMKNN(
                 controller=controller,
                 quantizer=Quantizer(alpha=1000, assume_normalized=True),

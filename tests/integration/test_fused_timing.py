@@ -1,7 +1,7 @@
 """Golden simulated-timing tests: fusion moved zero nanoseconds.
 
-The kernel fusion (vectorised bit-slicing, cached decompositions, block
-scoring) is a *wall-clock* optimisation only — simulated PIM latency,
+The kernel fusion (vectorised bit-slicing, one-contraction crossbar
+waves, block scoring) is a *wall-clock* optimisation only — simulated PIM latency,
 energy, CPU cost-model times, refined/pruned counts and answer bits are
 pinned here against values captured from the pre-fusion loop
 implementation. Any drift in these constants means the fused kernels
@@ -41,11 +41,11 @@ def _small_platform() -> HardwareConfig:
 
 
 class TestCellWaveGoldens:
-    """Scenario: simulate_cells waves on the small 8x8 platform."""
+    """Scenario: cell-oracle waves on the small 8x8 platform."""
 
     @pytest.fixture()
     def controller(self):
-        ctrl = PIMController(_small_platform(), simulate_cells=True)
+        ctrl = PIMController(_small_platform(), reference=True)
         matrix = (np.arange(7 * 20, dtype=np.int64).reshape(7, 20) * 13) % 251
         ctrl.program("m", matrix)
         return ctrl

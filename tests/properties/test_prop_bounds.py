@@ -155,3 +155,55 @@ class TestPIMBoundInequalities:
         gap_loose = float(np.mean(ed - loose.evaluate(query)))
         gap_tight = float(np.mean(ed - tight.evaluate(query)))
         assert gap_tight <= gap_loose + 1e-9
+
+
+@st.composite
+def served_dataset_and_queries(draw):
+    """Unnormalised data plus queries, some outside the data's box."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    dims = draw(st.integers(min_value=1, max_value=24))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    data = rng.normal(3.0, 2.0, size=(n, dims))
+    lo, hi = data.min(axis=0), data.max(axis=0)
+    span = np.where(hi > lo, hi - lo, 1.0)
+    # half the queries inside the box, half up to one box width beyond
+    inside = rng.uniform(lo, hi, size=(2, dims))
+    outside = rng.uniform(lo - span, hi + span, size=(2, dims))
+    return data, np.vstack([inside, outside])
+
+
+class TestOneEDBound:
+    """Mining and serving compute LB_PIM-ED through one function.
+
+    With ``approximate=True`` a serving answer's score *is* the bound,
+    so the sharded fleet must return, bit for bit, the k smallest
+    values the mining layer's :class:`PIMEuclideanBound` evaluates, in
+    ``(lb, index)`` order.
+    """
+
+    @given(
+        served_dataset_and_queries(),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from(["range", "hash"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_approximate_scores_are_the_mining_bound(
+        self, case, k, n_shards, placement
+    ):
+        from repro.serving import ShardManager
+
+        data, queries = case
+        quantizer = Quantizer()
+        manager = ShardManager(
+            data, quantizer=quantizer, n_shards=n_shards, placement=placement
+        )
+        bound = PIMEuclideanBound(PIMController(), quantizer)
+        bound.prepare(data)
+        answers, _ = manager.knn_batch(queries, k, approximate=True)
+        for query, answer in zip(queries, answers):
+            lb = bound.evaluate(query)
+            order = np.lexsort((np.arange(lb.size), lb))[:k]
+            assert answer.approximate
+            assert np.array_equal(answer.indices, order)
+            assert np.array_equal(answer.scores, lb[order])

@@ -16,11 +16,16 @@ from repro.hardware.crossbar import Crossbar
 
 @st.composite
 def crossbar_cases(draw):
-    """A random small crossbar with compatible operands and query."""
+    """A random small crossbar with compatible operands and query.
+
+    The query may be narrower than the operands (``input_bits``), which
+    shortens the DAC wave train.
+    """
     rows = draw(st.integers(min_value=1, max_value=12))
     cell_bits = draw(st.integers(min_value=1, max_value=4))
     dac_bits = draw(st.integers(min_value=1, max_value=4))
-    operand_bits = draw(st.integers(min_value=1, max_value=10))
+    operand_bits = draw(st.integers(min_value=1, max_value=12))
+    input_bits = draw(st.integers(min_value=1, max_value=operand_bits))
     slices = -(-operand_bits // cell_bits)
     cols = draw(st.integers(min_value=slices, max_value=4 * slices))
     n_vectors = draw(st.integers(min_value=1, max_value=cols // slices))
@@ -28,27 +33,33 @@ def crossbar_cases(draw):
     seed = draw(st.integers(min_value=0, max_value=2**31))
     rng = np.random.default_rng(seed)
     matrix = rng.integers(0, 2**operand_bits, size=(n_vectors, dims))
-    query = rng.integers(0, 2**operand_bits, size=dims)
+    query = rng.integers(0, 2**input_bits, size=dims)
     config = CrossbarConfig(
         rows=rows, cols=cols, cell_bits=cell_bits, dac_bits=dac_bits
     )
-    return config, matrix, query, operand_bits
+    return config, matrix, query, operand_bits, input_bits
 
 
 class TestCrossbarExactness:
     @given(crossbar_cases())
     @settings(max_examples=60, deadline=None)
     def test_dot_product_matches_numpy(self, case):
-        config, matrix, query, bits = case
+        config, matrix, query, bits, input_bits = case
         xbar = Crossbar(config)
         xbar.program(matrix, operand_bits=bits)
-        result = xbar.dot_product(query, input_bits=bits)
+        result = xbar.dot_product(query, input_bits=input_bits)
         assert np.array_equal(result.values, matrix @ query)
+        # one read cycle per DAC input slice; every cycle converts each
+        # used column (vectors x operand slices) once
+        cycles = -(-input_bits // config.dac_bits)
+        used_cols = matrix.shape[0] * -(-bits // config.cell_bits)
+        assert result.cycles == cycles
+        assert result.adc_conversions == cycles * used_cols
 
     @given(crossbar_cases())
     @settings(max_examples=40, deadline=None)
     def test_programming_is_lossless(self, case):
-        config, matrix, _, bits = case
+        config, matrix, _, bits, _ = case
         xbar = Crossbar(config)
         xbar.program(matrix, operand_bits=bits)
         assert np.array_equal(xbar.stored_matrix(), matrix)

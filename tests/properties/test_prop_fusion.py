@@ -1,10 +1,12 @@
-"""Property-based tests: fused kernels equal the loop oracles bit for bit.
+"""Property-based tests: fast kernels equal the loop oracles bit for bit.
 
-The fused whole-array kernels (vectorised bit-slicing, one-contraction
-crossbar waves, cached-decomposition PIM waves, block-scored serving
-refinement) must be *bit-identical* — values, counts and simulated
-timings — to the sequential loop implementations they replaced, which
-stay available as ``reference`` oracles. Integer paths are exact by
+The fast paths (vectorised bit-slicing, the array's exact value kernel,
+block-scored serving refinement) must be *bit-identical* — values,
+counts and simulated timings — to the sequential loop implementations
+they replaced, which stay available as ``reference`` oracles; the PIM
+array's oracle is the cell level, real crossbar objects evaluated one
+by one, and the crossbar wave's per-input-slice loop lives in this
+module. Integer paths are exact by
 mod-2**64 ring algebra; float paths share one canonical scoring kernel
 (:func:`repro.serving.sharding.exact_sq_distances`) whose per-row values
 are batch-independent. These properties are the contract that lets the
@@ -88,7 +90,7 @@ class TestBitsliceFusion:
 
 
 # ----------------------------------------------------------------------
-# crossbar wave: fused contraction vs per-input-slice loop
+# crossbar wave: one-contraction kernel vs per-input-slice loop
 # ----------------------------------------------------------------------
 @st.composite
 def crossbar_cases(draw):
@@ -110,6 +112,29 @@ def crossbar_cases(draw):
     return config, matrix, query, operand_bits
 
 
+def _loop_wave(config, matrix, query, bits):
+    """Sequential oracle: one analog MAC per DAC input slice.
+
+    Returns the shift-added values, the cycle count (one per input
+    slice) and the ADC conversions (every used column, every cycle).
+    """
+    op_slices = bitslice.slice_operands_reference(
+        matrix, bits, config.cell_bits
+    ).astype(np.int64)
+    q_slices = bitslice.slice_operands_reference(
+        query, bits, config.dac_bits
+    ).astype(np.int64)
+    n_vectors, _, n_op = op_slices.shape
+    n_in = q_slices.shape[-1]
+    partials = np.empty((n_op, n_in, n_vectors), dtype=np.int64)
+    for k in range(n_in):
+        partials[:, k, :] = np.einsum("r,vrj->jv", q_slices[:, k], op_slices)
+    values = bitslice.shift_add_partials_reference(
+        partials, config.cell_bits, config.dac_bits
+    )
+    return values, n_in, n_in * n_vectors * n_op
+
+
 class TestCrossbarFusion:
     @given(crossbar_cases())
     @settings(max_examples=60, deadline=None)
@@ -118,14 +143,16 @@ class TestCrossbarFusion:
         xbar = Crossbar(config)
         xbar.program(matrix, operand_bits=bits)
         fused = xbar.dot_product(query, input_bits=bits)
-        loop = xbar.dot_product(query, input_bits=bits, reference=True)
-        assert np.array_equal(fused.values, loop.values)
-        assert fused.cycles == loop.cycles
-        assert fused.adc_conversions == loop.adc_conversions
+        values, cycles, adc_conversions = _loop_wave(
+            config, matrix, query, bits
+        )
+        assert np.array_equal(fused.values, values)
+        assert fused.cycles == cycles
+        assert fused.adc_conversions == adc_conversions
 
 
 # ----------------------------------------------------------------------
-# PIM array: fused cached-decomposition kernel vs crossbar loop vs fast
+# PIM array: fast value kernel vs the cell-level crossbar oracle
 # ----------------------------------------------------------------------
 @st.composite
 def array_cases(draw):
@@ -156,13 +183,12 @@ def array_cases(draw):
     return hardware, matrix, queries
 
 
-def _triple(hardware, matrix):
-    fused = PIMArray(hardware, simulate_cells=True)
-    loop = PIMArray(hardware, simulate_cells=True, reference=True)
+def _pair(hardware, matrix):
     fast = PIMArray(hardware)
-    for array in (fused, loop, fast):
+    cells = PIMArray(hardware, reference=True)
+    for array in (fast, cells):
         array.program_matrix("m", matrix)
-    return fused, loop, fast
+    return fast, cells
 
 
 class TestArrayFusion:
@@ -170,40 +196,25 @@ class TestArrayFusion:
     @settings(max_examples=40, deadline=None)
     def test_query_paths_bit_identical(self, case):
         hardware, matrix, queries = case
-        fused, loop, fast = _triple(hardware, matrix)
-        results = [a.query("m", queries[0]) for a in (fused, loop, fast)]
+        fast, cells = _pair(hardware, matrix)
+        results = [a.query("m", queries[0]) for a in (fast, cells)]
         assert np.array_equal(results[0].values, results[1].values)
-        assert np.array_equal(results[0].values, results[2].values)
-        assert (
-            results[0].timing.total_ns
-            == results[1].timing.total_ns
-            == results[2].timing.total_ns
-        )
+        assert results[0].timing.total_ns == results[1].timing.total_ns
 
     @given(array_cases())
     @settings(max_examples=30, deadline=None)
     def test_batch_paths_bit_identical(self, case):
         hardware, matrix, queries = case
-        fused, loop, fast = _triple(hardware, matrix)
-        many = [a.query_many("m", queries) for a in (fused, loop, fast)]
-        batch = [a.query_batch("m", queries) for a in (fused, loop, fast)]
-        for other in many[1:]:
-            assert np.array_equal(many[0].values, other.values)
-        for other in batch[1:]:
-            assert np.array_equal(batch[0].values, other.values)
+        fast, cells = _pair(hardware, matrix)
+        many = [a.query_many("m", queries) for a in (fast, cells)]
+        batch = [a.query_batch("m", queries) for a in (fast, cells)]
+        assert np.array_equal(many[0].values, many[1].values)
+        assert np.array_equal(batch[0].values, batch[1].values)
         assert np.array_equal(batch[0].values, many[0].values)
-        assert (
-            batch[0].timing.total_ns
-            == batch[1].timing.total_ns
-            == batch[2].timing.total_ns
-        )
-        # identical simulated time accounting across all three paths
-        assert (
-            fused.stats.pim_time_ns
-            == loop.stats.pim_time_ns
-            == fast.stats.pim_time_ns
-        )
-        assert fused.stats.batch_saved_ns == loop.stats.batch_saved_ns
+        assert batch[0].timing.total_ns == batch[1].timing.total_ns
+        # identical simulated time accounting on both paths
+        assert fast.stats.pim_time_ns == cells.stats.pim_time_ns
+        assert fast.stats.batch_saved_ns == cells.stats.batch_saved_ns
 
     @given(array_cases())
     @settings(max_examples=20, deadline=None)
@@ -211,12 +222,11 @@ class TestArrayFusion:
         hardware, matrix, queries = case
         bits = max(1, hardware.pim.operand_bits // 2)
         narrow = queries[0] % (1 << bits)
-        fused, loop, fast = _triple(hardware, matrix)
+        fast, cells = _pair(hardware, matrix)
         results = [
-            a.query("m", narrow, input_bits=bits) for a in (fused, loop, fast)
+            a.query("m", narrow, input_bits=bits) for a in (fast, cells)
         ]
         assert np.array_equal(results[0].values, results[1].values)
-        assert np.array_equal(results[0].values, results[2].values)
         assert results[0].timing.total_ns == results[1].timing.total_ns
 
     @given(
@@ -241,19 +251,18 @@ class TestArrayFusion:
         rng = np.random.default_rng(seed)
         codes = rng.integers(0, 2, size=(n_codes, dims))
         query = rng.integers(0, 2, size=dims)
-        fused, loop, fast = _triple(hardware, codes)
+        fast, cells = _pair(hardware, codes)
         complement = 1 - codes
-        for array in (fused, loop, fast):
+        for array in (fast, cells):
             array.program_matrix("c", complement)
         for name in ("m", "c"):
-            results = [a.query(name, query) for a in (fused, loop, fast)]
+            results = [a.query(name, query) for a in (fast, cells)]
             assert np.array_equal(results[0].values, results[1].values)
-            assert np.array_equal(results[0].values, results[2].values)
             assert results[0].timing.total_ns == results[1].timing.total_ns
 
 
 # ----------------------------------------------------------------------
-# fault and noise hooks survive fusion
+# fault and noise hooks see the same values on both paths
 # ----------------------------------------------------------------------
 class TestFusionUnderFaultsAndNoise:
     @given(
@@ -283,14 +292,12 @@ class TestFusionUnderFaultsAndNoise:
         )
         waves = []
         for reference in (False, True):
-            inner = PIMArray(
-                hardware, simulate_cells=True, reference=reference
-            )
+            inner = PIMArray(hardware, reference=reference)
             faulty = FaultyPIMArray(inner, plan, "array")
             faulty.program_matrix("m", matrix)
             waves.append(faulty.query("m", query))
-        # the injector corrupts whatever the pipeline produced; since
-        # both pipelines produce identical bits and the fault RNG is
+        # the injector corrupts whatever the path produced; since the
+        # fast path and the cell oracle produce identical bits and the fault RNG is
         # derived from the plan seed, the corrupted waves match too
         assert np.array_equal(waves[0].values, waves[1].values)
         assert waves[0].timing.total_ns == waves[1].timing.total_ns

@@ -188,11 +188,7 @@ def _faulty(kind, **params):
 SERVED_PATHS = {
     "crossbar": (lambda seed: PIMArray(PLATFORM), DIMS),
     "crossbar-cells": (
-        lambda seed: PIMArray(PLATFORM, simulate_cells=True), [1, 90]
-    ),
-    "crossbar-loop": (
-        lambda seed: PIMArray(PLATFORM, simulate_cells=True, reference=True),
-        [1, 90],
+        lambda seed: PIMArray(PLATFORM, reference=True), [1, 90]
     ),
     "hbm_pim": (lambda seed: HBMPIMArray(PLATFORM), DIMS),
     "hbm_pim-stream": (
