@@ -60,11 +60,7 @@ def _digest(arr: np.ndarray) -> str:
 
 
 def _endurance_tracker(shard):
-    if shard.controller is not None:
-        return shard.controller.pim.endurance
-    if shard.engine is not None:
-        return shard.engine.pim.endurance
-    return None
+    return shard.array.endurance if shard.array is not None else None
 
 
 def write_checkpoint(

@@ -18,6 +18,10 @@ latency, availability, hedge accounting and health state. The whole
 run serializes to a JSON *timeline artifact* (fault schedule + per-arm
 stats + detector verdict transitions) for CI upload.
 
+The trace, its pacing, the oracle, the serve loop and the artifact
+writer live in the :class:`Campaign` base, which
+:class:`~repro.faults.dr.DisasterRecoveryCampaign` shares.
+
 Determinism: queries, plans and dispatch all derive from the campaign
 seed on the simulated clock, so two runs of the same campaign emit
 byte-identical artifacts (modulo float formatting).
@@ -148,7 +152,105 @@ def standard_campaign() -> tuple[ChaosScenario, ...]:
     )
 
 
-class ChaosCampaign:
+#: GatherTiming recovery counters each chaos arm sums over its trace
+_ARM_COUNTERS = (
+    "attempts", "hedges", "hedges_won", "hedges_lost", "hedges_denied",
+    "link_drops", "retries", "failovers", "crashes", "timeouts",
+    "degraded_chunks",
+)
+
+
+class Campaign:
+    """The harness every campaign shares: one seeded trace, one oracle.
+
+    Holds the dataset, a seeded normal query trace paced evenly across
+    ``horizon_ns``, the clean single-array answers every arm is checked
+    against, and the serve loop that replays the trace on a fleet.
+    Subclasses build the fleets and reduce the statistics.
+    """
+
+    def __init__(
+        self,
+        data: np.ndarray,
+        *,
+        n_requests: int,
+        k: int,
+        horizon_ns: float,
+        seed: int,
+    ) -> None:
+        self.data = np.asarray(data, dtype=np.float64)
+        if self.data.ndim != 2 or self.data.shape[0] < 1:
+            raise ConfigurationError(
+                "campaign needs a non-empty (n, dims) dataset"
+            )
+        if n_requests < 1:
+            raise ConfigurationError("n_requests must be >= 1")
+        self.n_requests = int(n_requests)
+        self.k = int(k)
+        self.horizon_ns = float(horizon_ns)
+        self.seed = int(seed)
+        rng = np.random.default_rng(seed)
+        self.queries = rng.normal(size=(self.n_requests, self.data.shape[1]))
+        # spread the trace across the horizon so every fault window
+        # actually sees traffic
+        self.gap_ns = self.horizon_ns / (self.n_requests + 1)
+
+    def _reference(self) -> list:
+        """Clean single-array answers — the bit-exactness oracle."""
+        from repro.serving.sharding import ShardManager
+
+        manager = ShardManager(self.data, 1)
+        answers = []
+        for q in self.queries:
+            result = manager.knn(q, self.k)
+            answers.append(
+                (result.indices.tolist(), result.scores.tolist())
+            )
+        return answers
+
+    def _serve(
+        self, manager, reference: list, start: int, stop: int, t: float
+    ) -> dict:
+        """Serve trace rows ``[start, stop)`` from simulated time ``t``.
+
+        Each answer faces the oracle; a degraded one (exact host-side
+        recompute of a replica-less chunk) still does, and is counted.
+        """
+        answers: list = []
+        timings: list = []
+        violations = 0
+        degraded = 0
+        for i in range(start, stop):
+            batch, timing = manager.knn_batch(
+                np.atleast_2d(self.queries[i]), self.k, now_ns=t
+            )
+            result = batch[0]
+            timings.append(timing)
+            pair = (result.indices.tolist(), result.scores.tolist())
+            answers.append(pair)
+            if result.degraded:
+                degraded += 1
+            if pair != reference[i]:
+                violations += 1
+            t += timing.service_ns + self.gap_ns
+        return {
+            "answers": answers,
+            "timings": timings,
+            "latencies": [timing.service_ns for timing in timings],
+            "violations": violations,
+            "degraded": degraded,
+            "t_end": t,
+        }
+
+    @staticmethod
+    def write_artifact(result: dict, path: str) -> None:
+        """Serialize one ``run()`` result as the JSON artifact."""
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(result, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+
+
+class ChaosCampaign(Campaign):
     """Run scenarios through clean / detector-off / detector-on arms.
 
     Parameters
@@ -184,30 +286,18 @@ class ChaosCampaign:
         hedge_budget: float = 0.3,
         seed: int = 0,
     ) -> None:
-        self.data = np.asarray(data, dtype=np.float64)
-        if self.data.ndim != 2 or self.data.shape[0] < 1:
-            raise ConfigurationError(
-                "campaign needs a non-empty (n, dims) dataset"
-            )
+        super().__init__(
+            data, n_requests=n_requests, k=k, horizon_ns=horizon_ns,
+            seed=seed,
+        )
         self.scenarios = tuple(
             scenarios if scenarios is not None else standard_campaign()
         )
         if not self.scenarios:
             raise ConfigurationError("campaign needs at least one scenario")
-        if n_requests < 1:
-            raise ConfigurationError("n_requests must be >= 1")
         self.n_shards = int(n_shards)
         self.replication = int(replication)
-        self.n_requests = int(n_requests)
-        self.k = int(k)
-        self.horizon_ns = float(horizon_ns)
         self.hedge_budget = float(hedge_budget)
-        self.seed = int(seed)
-        rng = np.random.default_rng(seed)
-        self.queries = rng.normal(size=(self.n_requests, self.data.shape[1]))
-        # spread the trace across the horizon so every fault window
-        # (stragglers live in the middle 60%) actually sees traffic
-        self.gap_ns = self.horizon_ns / (self.n_requests + 1)
 
     # ------------------------------------------------------------------
     def _policies(self) -> dict:
@@ -255,19 +345,6 @@ class ChaosCampaign:
             extra_events=tuple(resolved),
         )
 
-    def _reference(self) -> list:
-        """Clean single-array answers — the bit-exactness oracle."""
-        from repro.serving.sharding import ShardManager
-
-        manager = ShardManager(self.data, 1)
-        answers = []
-        for q in self.queries:
-            result = manager.knn(q, self.k)
-            answers.append(
-                (result.indices.tolist(), result.scores.tolist())
-            )
-        return answers
-
     def _run_arm(
         self, plan: FaultPlan, policy, reference: list
     ) -> dict:
@@ -281,47 +358,24 @@ class ChaosCampaign:
             recovery=policy,
             seed=self.seed,
         )
-        latencies: list[float] = []
-        violations = 0
-        degraded = 0
-        t = 0.0
+        served = self._serve(manager, reference, 0, self.n_requests, 0.0)
         counters = {
-            "attempts": 0, "hedges": 0, "hedges_won": 0,
-            "hedges_lost": 0, "hedges_denied": 0, "link_drops": 0,
-            "retries": 0, "failovers": 0, "crashes": 0,
-            "timeouts": 0, "degraded_chunks": 0,
+            key: sum(getattr(timing, key) for timing in served["timings"])
+            for key in _ARM_COUNTERS
         }
-        for i, q in enumerate(self.queries):
-            answers, timing = manager.knn_batch(
-                np.atleast_2d(q), self.k, now_ns=t
-            )
-            result = answers[0]
-            latencies.append(timing.service_ns)
-            if result.degraded:
-                # degraded = exact host-side recompute of a replica-less
-                # chunk: slower and flagged, but still bit-exact — so it
-                # dents availability yet still faces the oracle below
-                degraded += 1
-            if (
-                result.indices.tolist(),
-                result.scores.tolist(),
-            ) != reference[i]:
-                violations += 1
-            for key in counters:
-                counters[key] += getattr(timing, key)
-            t += timing.service_ns + self.gap_ns
+        degraded = served["degraded"]
         stats = manager.merged_stats()
-        lat = np.asarray(latencies)
+        lat = np.asarray(served["latencies"])
         return {
             "latency_p50_ns": float(np.percentile(lat, 50.0)),
             "latency_p95_ns": float(np.percentile(lat, 95.0)),
             "latency_p99_ns": float(np.percentile(lat, 99.0)),
             "latency_mean_ns": float(lat.mean()),
             "requests": self.n_requests,
-            "exactness_violations": violations,
+            "exactness_violations": served["violations"],
             "degraded_responses": degraded,
-            # degraded answers are approximate by design; availability
-            # counts full-fidelity exact completions
+            # degraded answers are exact but slow; availability counts
+            # completions on the full-fidelity path
             "availability": 1.0 - degraded / self.n_requests,
             "hedge_rate": (
                 counters["hedges"] / counters["attempts"]
@@ -372,10 +426,3 @@ class ChaosCampaign:
             },
             "scenarios": scenarios_out,
         }
-
-    @staticmethod
-    def write_artifact(result: dict, path: str) -> None:
-        """Serialize one :meth:`run` result as the JSON artifact."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")

@@ -27,13 +27,13 @@ byte-identical artifacts (modulo float formatting).
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.faults.campaign import Campaign
 from repro.faults.plan import FaultPlan
 from repro.hardware.config import FailureDomainTopology
 
@@ -41,7 +41,7 @@ from repro.hardware.config import FailureDomainTopology
 # module, which imports serving) loads lazily inside methods.
 
 
-class DisasterRecoveryCampaign:
+class DisasterRecoveryCampaign(Campaign):
     """Kill whole domains, cold-restart the service, check the gates.
 
     Parameters
@@ -88,12 +88,11 @@ class DisasterRecoveryCampaign:
         checkpoint_dir: str | None = None,
         seed: int = 0,
     ) -> None:
-        self.data = np.asarray(data, dtype=np.float64)
-        if self.data.ndim != 2 or self.data.shape[0] < 1:
-            raise ConfigurationError(
-                "campaign needs a non-empty (n, dims) dataset"
-            )
-        if n_requests < 2:
+        super().__init__(
+            data, n_requests=n_requests, k=k, horizon_ns=horizon_ns,
+            seed=seed,
+        )
+        if self.n_requests < 2:
             raise ConfigurationError("n_requests must be >= 2")
         self.n_shards = int(n_shards)
         self.replication = int(replication)
@@ -112,19 +111,10 @@ class DisasterRecoveryCampaign:
                 f"topology describes {self.topology.n_shards} shards, "
                 f"campaign runs {self.n_shards}"
             )
-        self.n_requests = int(n_requests)
-        self.k = int(k)
-        self.horizon_ns = float(horizon_ns)
         self.outage_domains = int(outage_domains)
         self.level = level
         self.brownout_domains = int(brownout_domains)
         self.checkpoint_dir = checkpoint_dir
-        self.seed = int(seed)
-        rng = np.random.default_rng(seed)
-        self.queries = rng.normal(
-            size=(self.n_requests, self.data.shape[1])
-        )
-        self.gap_ns = self.horizon_ns / (self.n_requests + 1)
         self.plan = FaultPlan.domain_outage(
             self.topology,
             self.horizon_ns,
@@ -135,19 +125,6 @@ class DisasterRecoveryCampaign:
         )
 
     # ------------------------------------------------------------------
-    def _reference(self) -> list:
-        """Clean single-array answers — the bit-exactness oracle."""
-        from repro.serving.sharding import ShardManager
-
-        manager = ShardManager(self.data, 1)
-        answers = []
-        for q in self.queries:
-            result = manager.knn(q, self.k)
-            answers.append(
-                (result.indices.tolist(), result.scores.tolist())
-            )
-        return answers
-
     def _make_manager(self, spread: bool, fault_plan):
         from repro.serving.sharding import ShardManager
 
@@ -160,35 +137,6 @@ class DisasterRecoveryCampaign:
             topology=self.topology,
             spread=spread,
         )
-
-    def _serve(
-        self, manager, reference, start: int, stop: int, t: float
-    ) -> dict:
-        """Serve trace rows ``[start, stop)`` from simulated time ``t``."""
-        latencies: list[float] = []
-        answers: list = []
-        violations = 0
-        degraded = 0
-        for i in range(start, stop):
-            batch, timing = manager.knn_batch(
-                np.atleast_2d(self.queries[i]), self.k, now_ns=t
-            )
-            result = batch[0]
-            latencies.append(timing.service_ns)
-            pair = (result.indices.tolist(), result.scores.tolist())
-            answers.append(pair)
-            if result.degraded:
-                degraded += 1
-            if pair != reference[i]:
-                violations += 1
-            t += timing.service_ns + self.gap_ns
-        return {
-            "answers": answers,
-            "latencies": latencies,
-            "violations": violations,
-            "degraded": degraded,
-            "t_end": t,
-        }
 
     def _placement_arm(self, spread: bool, reference) -> dict:
         manager = self._make_manager(spread, self.plan)
@@ -252,8 +200,10 @@ class DisasterRecoveryCampaign:
             for mine, theirs in zip(answers, base["answers"])
             if mine != theirs
         )
+        # the artifact names the file, not the machine-specific directory
+        integrity["path"] = os.path.basename(path)
         return {
-            "checkpoint_path": path,
+            "checkpoint_path": os.path.basename(path),
             "checkpoint_t_ns": float(manifest["t_ns"]),
             "recovery_point_ns": float(restored.last_checkpoint_ns),
             "requests_before_crash": half,
@@ -307,10 +257,3 @@ class DisasterRecoveryCampaign:
             "placement_answer_divergence": answer_divergence,
             "checkpoint": checkpoint,
         }
-
-    @staticmethod
-    def write_artifact(result: dict, path: str) -> None:
-        """Serialize one :meth:`run` result as the JSON artifact."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-            handle.write("\n")

@@ -37,10 +37,13 @@ When a :class:`~repro.faults.FaultPlan` is attached, dispatches survive
 crashes, hangs, stragglers and corrupted waves via bounded retries with
 capped exponential backoff, per-attempt timeouts, replica failover and
 (last resort) host-side exact recomputation of an unavailable chunk —
-see :class:`~repro.serving.health.RecoveryPolicy`. Wave integrity is
-checked with a residue checksum row (:mod:`repro.faults.integrity`)
-programmed alongside the data, so a corrupted wave is detected and
-never silently used.
+see :class:`~repro.serving.health.RecoveryPolicy`. The recompute is
+the wave path's own host-side scan run on a zero bound: the bound only
+decides which rows to skip, and 0 lower-bounds every distance, so every
+row is refined and the merged answer stays bit-identical. Wave
+integrity is checked with a residue checksum row
+(:mod:`repro.faults.integrity`) programmed alongside the data, so a
+corrupted wave is detected and never silently used.
 """
 
 from __future__ import annotations
@@ -366,27 +369,7 @@ class _Shard:
                 self.engine.pim = self.faulty
             self.engine.load(integers)
         else:
-            self.controller = PIMController(
-                hardware,
-                spare_crossbars=spare_crossbars,
-                substrate=substrate,
-            )
-            if fault_plan is not None:
-                self.faulty = FaultyPIMArray(
-                    self.controller.pim, fault_plan, self.name,
-                    auto_advance=False,
-                )
-                self.controller.pim = self.faulty
-            payload = (
-                append_checksum_row(
-                    integers, hardware.pim.operand_bits
-                )
-                if self.verify
-                else integers
-            )
-            self.controller.program(
-                self.name, payload, side_data_bytes=phi.nbytes
-            )
+            self._program()
 
     def advance_clock(self, t_ns: float) -> None:
         """Move this shard's fault clock to simulated time ``t_ns``."""
@@ -408,6 +391,21 @@ class _Shard:
                 "engine re-programs per chunk already"
             )
         if self.controller is None:
+            self.verify = verify
+        elif self.name in self.controller.pim.layouts():
+            # absent when a failed reprogram already erased the matrix
+            # (the rollback path re-programs from scratch)
+            self.controller.pim.reset_matrix(self.name)
+        return self._program()
+
+    def _program(self) -> float:
+        """Program the rows (plus checksum row when verifying) resident.
+
+        Builds the controller first when the shard has none, wrapped in
+        a :class:`~repro.faults.injectors.FaultyPIMArray` under a fault
+        plan. Returns the programming receipt time in ns.
+        """
+        if self.controller is None:
             self.controller = PIMController(
                 self.hardware,
                 spare_crossbars=self.spare_crossbars,
@@ -419,11 +417,6 @@ class _Shard:
                     auto_advance=False,
                 )
                 self.controller.pim = self.faulty
-            self.verify = verify
-        elif self.name in self.controller.pim.layouts():
-            # absent when a failed reprogram already erased the matrix
-            # (the rollback path re-programs from scratch)
-            self.controller.pim.reset_matrix(self.name)
         payload = (
             append_checksum_row(
                 self.integers, self.hardware.pim.operand_bits
@@ -469,13 +462,19 @@ class _Shard:
         return int(self.global_indices.size)
 
     @property
+    def array(self):
+        """The shard's PIM array (resident or chunked); None when empty."""
+        if self.controller is not None:
+            return self.controller.pim
+        if self.engine is not None:
+            return self.engine.pim
+        return None
+
+    @property
     def pim_stats(self) -> PIMStats:
         """This shard's array-level stats (empty for an empty shard)."""
-        if self.controller is not None:
-            return self.controller.pim.stats
-        if self.engine is not None:
-            return self.engine.pim.stats
-        return PIMStats()
+        array = self.array
+        return array.stats if array is not None else PIMStats()
 
     def served(
         self, chunks: list[int]
@@ -1365,6 +1364,20 @@ class ShardManager:
                     ready[c] = max(ready[c], end_rel + delay)
                     timing.backoff_ns += delay
 
+        def verified(shard, dots, rows):
+            """A wave's served columns, or None when its residue check
+            flags it; every flagged row counts in ``corrupt_detected``."""
+            if not (shard.verify and shard.n_rows):
+                return dots
+            clean = np.atleast_1d(verify_wave_residues(dots, bits))
+            flagged = int(clean.size - np.count_nonzero(clean))
+            if flagged:
+                timing.corrupt_detected += flagged
+                return None
+            return served_columns(
+                dots, [slice(0, shard.n_rows)] if rows is None else rows
+            )
+
         def try_hedge(s, chunks, start_rel, end_rel, cpu_ns, trigger_ns):
             """Duplicate a straggling wave on an idle replica (values
             are identical either way; only the finish time improves).
@@ -1412,17 +1425,13 @@ class ShardManager:
                 )
                 if verdict.status not in ("ok", "slow"):
                     continue
+                rows2 = alt.served(chunks)[0]
                 try:
-                    dots2, pim2 = alt.dot_products(
-                        q_int, alt.served(chunks)[0]
-                    )
+                    dots2, pim2 = alt.dot_products(q_int, rows2)
                 except CrossbarDeadError:
                     continue
                 pim2 = pim2 * verdict.factor + verdict.delay_ns
-                if alt.verify and alt.n_rows and not np.all(
-                    verify_wave_residues(dots2, bits)
-                ):
-                    timing.corrupt_detected += 1
+                if verified(alt, dots2, rows2) is None:
                     continue
                 timing.hedges += 1
                 self._recovery_marker(tele, "hedge", s2, len(chunks))
@@ -1616,28 +1625,16 @@ class ShardManager:
                         self._recovery_marker(tele, "timeout", s, len(chunks))
                         fail_chunks(chunks, end_rel, s, False, True)
                         continue
-                    if shard.verify and shard.n_rows:
-                        clean = np.atleast_1d(
-                            verify_wave_residues(dots, bits)
-                        )
-                        if not np.all(clean):
-                            timing.corrupt_detected += int(
-                                clean.size - np.count_nonzero(clean)
-                            )
-                            end_rel = start_rel + pim_ns
-                            elapsed[s] = end_rel
-                            shard.busy_ns += pim_ns
-                            pim_total[s] += pim_ns
-                            self._recovery_marker(
-                                tele, "corrupt", s, len(chunks)
-                            )
-                            # transient: retry the same replica first
-                            fail_chunks(chunks, end_rel, s, False, False)
-                            continue
-                        dots = served_columns(
-                            dots,
-                            [slice(0, shard.n_rows)] if rows is None else rows,
-                        )
+                    dots = verified(shard, dots, rows)
+                    if dots is None:
+                        end_rel = start_rel + pim_ns
+                        elapsed[s] = end_rel
+                        shard.busy_ns += pim_ns
+                        pim_total[s] += pim_ns
+                        self._recovery_marker(tele, "corrupt", s, len(chunks))
+                        # transient: retry the same replica first
+                        fail_chunks(chunks, end_rel, s, False, False)
+                        continue
                     cpu_ns = process(shard, sel, dots)
                     tele.advance(cpu_ns)
                 end_rel = start_rel + pim_ns + cpu_ns
@@ -1753,47 +1750,12 @@ class ShardManager:
                 break
         return heap, refined, n_local - refined
 
-    def _degrade_chunk_knn(
-        self,
-        c: int,
-        q_norm: np.ndarray,
-        k_list: list[int],
-        per_query_heaps: list[list[_CanonicalHeap]],
-        refined_total: list[int],
-        timing: GatherTiming,
-    ) -> None:
-        """Host-side exact top-k of one unavailable chunk.
-
-        No PIM bounds exist, so every row of the chunk is refined
-        exactly — through :func:`exact_sq_distances`, the same kernel
-        as the normal refinement path, so merged results stay
-        bit-identical.
-        """
-        rows = self.chunk_rows[c]
-        batch = len(k_list)
-        if rows.size == 0:
-            return
+    def _degraded_rows(self, c: int) -> tuple[_Shard, np.ndarray]:
+        """The shard holding chunk ``c``'s host-side rows, and their
+        local indices: what a degraded recompute scans."""
         host = self.shards[self.replicas[c][0]]
         sl = host.chunk_slices[c]
-        floats = host.floats[sl]
-        gidx = host.global_indices[sl]
-        for b in range(batch):
-            heap = _CanonicalHeap(min(k_list[b], max(self.n_rows, 1)))
-            if self.reference:
-                for j in range(gidx.size):
-                    score = float(
-                        exact_sq_distances(floats[j], q_norm[b])[0]
-                    )
-                    heap.offer(score, int(gidx[j]))
-            else:
-                scores = exact_sq_distances(floats, q_norm[b])
-                for j in range(gidx.size):
-                    heap.offer(float(scores[j]), int(gidx[j]))
-            per_query_heaps[b].append(heap)
-            refined_total[b] += int(gidx.size)
-        timing.degraded_cpu_ns += self._degraded_cpu_ns(
-            int(rows.size), batch
-        )
+        return host, np.arange(sl.start, sl.stop, dtype=np.int64)
 
     def knn_batch(
         self,
@@ -1836,6 +1798,25 @@ class ShardManager:
         refined_total = [0] * batch
         pruned_total = [0] * batch
 
+        def scan(shard: _Shard, sel, lb_all: np.ndarray, approx) -> int:
+            """Every query's local top-k over rows ``sel`` under the
+            bounds ``lb_all``; returns the rows refined."""
+            refined_here = 0
+            for b in range(batch):
+                heap, refined, pruned = self._shard_topk(
+                    shard,
+                    lb_all[b],
+                    q_norm[b],
+                    min(k_list[b], max(self.n_rows, 1)),
+                    approx[b],
+                    sel=sel,
+                )
+                per_query_heaps[b].append(heap)
+                refined_total[b] += refined
+                pruned_total[b] += pruned
+                refined_here += refined
+            return refined_here
+
         def process(shard: _Shard, sel, dots) -> float:
             n_local = shard.n_rows if sel is None else int(sel.size)
             # one broadcast bound construction for the whole batch; each
@@ -1846,28 +1827,19 @@ class ShardManager:
                 phi[None, :], phi_q[:, None], dots, self.dims,
                 self.quantizer.alpha,
             )
-            refined_here = 0
-            for b in range(batch):
-                heap, refined, pruned = self._shard_topk(
-                    shard,
-                    lb_all[b],
-                    q_norm[b],
-                    min(k_list[b], max(self.n_rows, 1)),
-                    approx_list[b],
-                    sel=sel,
-                )
-                per_query_heaps[b].append(heap)
-                refined_total[b] += refined
-                pruned_total[b] += pruned
-                refined_here += refined
+            refined_here = scan(shard, sel, lb_all, approx_list)
             return self._shard_cpu_ns(n_local, batch, refined_here)
 
         degraded_chunks = self._serve_chunks(
             q_int, t0, process, timing, "serving.scatter"
         )
         for c in degraded_chunks:
-            self._degrade_chunk_knn(
-                c, q_norm, k_list, per_query_heaps, refined_total, timing
+            # no PIM bound: a zero bound never exceeds the heap
+            # threshold, so the same scan refines every row, exactly
+            host, rows = self._degraded_rows(c)
+            scan(host, rows, np.zeros((batch, rows.size)), [False] * batch)
+            timing.degraded_cpu_ns += self._degraded_cpu_ns(
+                int(rows.size), batch
             )
         answers: list[KNNAnswer] = []
         merge_candidates = 0
@@ -1919,8 +1891,8 @@ class ShardManager:
         Exact, with the canonical lowest-center-index tie-break: centers
         are considered in index order and only a strictly smaller
         distance replaces the incumbent. A chunk no replica could serve
-        is recomputed host-side with the same expression and tie-break,
-        so assignments stay bit-identical.
+        is recomputed host-side by the same sweep on a zero bound, so
+        assignments stay bit-identical.
         """
         c_int, c_norm, phi_c = self._prepare_queries(centers)
         n_centers = c_int.shape[0]
@@ -1932,21 +1904,17 @@ class ShardManager:
         alpha = self.quantizer.alpha
         stats = {"refined": 0, "visited": 0}
 
-        def process(shard: _Shard, sel, dots) -> float:
-            idx = (
-                np.arange(shard.n_rows, dtype=np.int64) if sel is None else sel
-            )
+        def sweep(shard: _Shard, idx: np.ndarray, lb: np.ndarray) -> int:
+            """Assign local rows ``idx`` under the ``(rows, centers)``
+            bounds ``lb``; returns the distances refined."""
             refined = 0
             if self.reference:
                 for col, j in enumerate(idx):
-                    lb = pim_ed_lower_bound(
-                        shard.phi[j], phi_c, dots[:, col], self.dims, alpha
-                    )
                     best_d = np.inf
                     best_c = 0
                     row = shard.floats[j]
                     for c in range(n_centers):
-                        if lb[c] > best_d:
+                        if lb[col, c] > best_d:
                             continue
                         d = float(exact_sq_distances(row, c_norm[c])[0])
                         refined += 1
@@ -1956,28 +1924,20 @@ class ShardManager:
                     gi = shard.global_indices[j]
                     assignments[gi] = best_c
                     distances[gi] = best_d
-                stats["refined"] += refined
-                stats["visited"] += int(idx.size) * n_centers
-                return self._shard_cpu_ns(int(idx.size), n_centers, refined)
-            # Fused: sweep centers in index order across all rows at
-            # once. Each row's prune test (``lb > best_d``) and strict
-            # ``d < best_d`` update depend only on that row's own state,
-            # so the center-major sweep replays the per-row loop's
-            # decisions exactly — same refined count, same canonical
-            # lowest-center-index tie-break, same distance bits (row
-            # independence of the kernel). Only the surviving rows are
-            # gathered and scored per center: the lb pruning is heavy
-            # enough that scoring whole row blocks costs more than the
-            # per-center gathers save.
-            n_here = int(idx.size)
-            if n_here:
-                lb = pim_ed_lower_bound(
-                    shard.phi[idx][:, np.newaxis], phi_c[np.newaxis, :],
-                    dots.T, self.dims, alpha,
-                )
+            elif idx.size:
+                # Fused: sweep centers in index order across all rows at
+                # once. Each row's prune test (``lb > best_d``) and
+                # strict ``d < best_d`` update depend only on that row's
+                # own state, so the center-major sweep replays the
+                # per-row loop's decisions exactly — same refined count,
+                # same canonical lowest-center-index tie-break, same
+                # distance bits (row independence of the kernel). Only
+                # the surviving rows are gathered and scored per center:
+                # the lb pruning is heavy enough that scoring whole row
+                # blocks costs more than the per-center gathers save.
                 rows = shard.floats[idx]
-                best_d = np.full(n_here, np.inf)
-                best_c = np.zeros(n_here, dtype=np.int64)
+                best_d = np.full(idx.size, np.inf)
+                best_c = np.zeros(idx.size, dtype=np.int64)
                 for c in range(n_centers):
                     hit = np.flatnonzero(lb[:, c] <= best_d)
                     if hit.size == 0:
@@ -1992,51 +1952,30 @@ class ShardManager:
                 assignments[gi] = best_c
                 distances[gi] = best_d
             stats["refined"] += refined
-            stats["visited"] += n_here * n_centers
-            return self._shard_cpu_ns(n_here, n_centers, refined)
+            stats["visited"] += int(idx.size) * n_centers
+            return refined
+
+        def process(shard: _Shard, sel, dots) -> float:
+            idx = (
+                np.arange(shard.n_rows, dtype=np.int64) if sel is None else sel
+            )
+            lb = pim_ed_lower_bound(
+                shard.phi[idx][:, np.newaxis], phi_c[np.newaxis, :],
+                dots.T, self.dims, alpha,
+            )
+            refined = sweep(shard, idx, lb)
+            return self._shard_cpu_ns(int(idx.size), n_centers, refined)
 
         degraded_chunks = self._serve_chunks(
             c_int, t0, process, timing, "serving.assist"
         )
         for c in degraded_chunks:
-            rows = self.chunk_rows[c]
-            if rows.size == 0:
-                continue
-            host = self.shards[self.replicas[c][0]]
-            sl = host.chunk_slices[c]
-            floats = host.floats[sl]
-            gidx = host.global_indices[sl]
-            if self.reference:
-                for j in range(gidx.size):
-                    best_d = np.inf
-                    best_c = 0
-                    for cc in range(n_centers):
-                        d = float(
-                            exact_sq_distances(floats[j], c_norm[cc])[0]
-                        )
-                        if d < best_d:
-                            best_d = d
-                            best_c = cc
-                    gi = gidx[j]
-                    assignments[gi] = best_c
-                    distances[gi] = best_d
-            else:
-                # all rows x all centers; argmin keeps the first (i.e.
-                # lowest-index) minimum — the strict ``<`` tie-break.
-                dists = np.stack(
-                    [
-                        exact_sq_distances(floats, c_norm[cc])
-                        for cc in range(n_centers)
-                    ],
-                    axis=1,
-                )
-                best = dists.argmin(axis=1)
-                assignments[gidx] = best
-                distances[gidx] = dists[np.arange(gidx.size), best]
-            stats["refined"] += int(gidx.size) * n_centers
-            stats["visited"] += int(gidx.size) * n_centers
+            # a zero bound prunes nothing: every row meets every center,
+            # and the strict ``<`` keeps the lowest-index nearest one
+            host, idx = self._degraded_rows(c)
+            sweep(host, idx, np.zeros((idx.size, n_centers)))
             timing.degraded_cpu_ns += self._degraded_cpu_ns(
-                int(rows.size), n_centers
+                int(idx.size), n_centers
             )
         if tele.enabled:
             tele.metrics.counter("serving.assist_rows").add(self.n_rows)
@@ -2221,14 +2160,10 @@ class ShardManager:
         """Per-shard endurance wear reports (empty shards report zeros)."""
         out = []
         for shard in self.shards:
-            if shard.controller is not None:
-                tracker = shard.controller.pim.endurance
-            elif shard.engine is not None:
-                tracker = shard.engine.pim.endurance
-            else:
+            if shard.array is None:
                 out.append({"shard": shard.shard_id, "units_tracked": 0})
                 continue
-            report = tracker.wear_report(top=top)
+            report = shard.array.endurance.wear_report(top=top)
             report["shard"] = shard.shard_id
             out.append(report)
         return out

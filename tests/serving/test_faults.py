@@ -30,6 +30,7 @@ from repro.serving import (
     ShardManager,
     SLOTracker,
 )
+from repro.serving import sharding
 from repro.serving.sharding import GatherTiming
 
 
@@ -409,6 +410,42 @@ class TestRecoveryDispatch:
         assert_same_answers(answers, expected)
         assert timing.hedges >= 1
 
+    def test_corrupt_hedge_counts_every_flagged_row(self, monkeypatch):
+        """A corrupt hedge wave counts its flagged rows, as a primary does."""
+        flagged = []
+        inner = sharding.verify_wave_residues
+
+        def spy(dots, bits):
+            clean = np.atleast_1d(inner(dots, bits))
+            flagged.append(int(clean.size - np.count_nonzero(clean)))
+            return clean
+
+        monkeypatch.setattr(sharding, "verify_wave_residues", spy)
+        rng = np.random.default_rng(5)
+        data = rng.random((64, 8))
+        plan = FaultPlan(
+            [
+                FaultEvent(
+                    t_ns=0.0, kind="slow_shard", target="shard0",
+                    params={"factor": 50.0},
+                ),
+                FaultEvent(
+                    t_ns=0.0, kind="wave_corrupt", target="shard1",
+                    params={"probability": 1.0},
+                ),
+            ]
+        )
+        manager = ShardManager(
+            data, 2, replication=2, fault_plan=plan,
+            recovery=RecoveryPolicy(hedge_after_ns=1.0),
+        )
+        queries = rng.random((3, 8))
+        answers, timing = manager.knn_batch(queries, 5)
+        expected, _ = ShardManager(data, 1).knn_batch(queries, 5)
+        assert_same_answers(answers, expected)
+        assert sum(flagged) > 0
+        assert timing.corrupt_detected == sum(flagged)
+
     def test_assign_survives_crash_and_degradation(self, data):
         centers = data[:3]
         clean, _ = ShardManager(data, 1).assign(centers)
@@ -423,6 +460,76 @@ class TestRecoveryDispatch:
         assert np.array_equal(b.assignments, clean.assignments)
         assert np.array_equal(b.distances, clean.distances)
         assert b.degraded and timing.degraded_chunks == 1
+
+
+class TestDegradedBruteForce:
+    """Degraded answers against NumPy brute force, not another manager.
+
+    Distances are squared Euclidean on the min-max-normalised data;
+    queries and centers come from inside the data box.
+    """
+
+    K = 7
+
+    @pytest.fixture
+    def setup(self):
+        rng = np.random.default_rng(17)
+        data = rng.random((120, 12))
+        lo, hi = data.min(axis=0), data.max(axis=0)
+        inside = rng.uniform(lo, hi, size=(9, 12))
+
+        def dist(points):
+            normed = (data - lo) / (hi - lo)
+            q = (points - lo) / (hi - lo)
+            return ((normed[None, :, :] - q[:, None, :]) ** 2).sum(axis=2)
+
+        return data, inside, dist
+
+    def _check_knn(self, answers, dist):
+        for answer, row in zip(answers, dist):
+            expected = np.argsort(row, kind="stable")[: self.K]
+            assert answer.indices.tolist() == expected.tolist()
+            assert np.allclose(answer.scores, row[expected], rtol=1e-12)
+
+    def _check_assign(self, answer, dist):
+        expected = dist.argmin(axis=0)
+        assert answer.assignments.tolist() == expected.tolist()
+        assert np.allclose(
+            answer.distances,
+            dist[expected, np.arange(dist.shape[1])],
+            rtol=1e-12,
+        )
+
+    def test_every_chunk_degraded(self, setup):
+        data, inside, dist = setup
+        plan = FaultPlan([crash(s) for s in range(4)])
+        manager = ShardManager(data, 4, replication=1, fault_plan=plan)
+        answers, timing = manager.knn_batch(inside, self.K)
+        self._check_knn(answers, dist(inside))
+        assert timing.degraded_chunks == 4
+        for answer in answers:
+            assert answer.degraded
+            assert answer.refined == data.shape[0]
+            assert answer.pruned == 0
+        centers = inside[:5]
+        result, timing = manager.assign(centers)
+        self._check_assign(result, dist(centers))
+        assert result.degraded and timing.degraded_chunks == 4
+        assert result.refined == data.shape[0] * centers.shape[0]
+
+    def test_one_chunk_degraded_merges_with_waved_rows(self, setup):
+        data, inside, dist = setup
+        plan = FaultPlan([crash(2)])
+        manager = ShardManager(data, 4, replication=1, fault_plan=plan)
+        answers, timing = manager.knn_batch(inside, self.K)
+        self._check_knn(answers, dist(inside))
+        assert timing.degraded_chunks == 1
+        assert all(a.degraded for a in answers)
+        assert sum(a.pruned for a in answers) > 0  # waved rows still prune
+        centers = inside[:5]
+        result, timing = manager.assign(centers)
+        self._check_assign(result, dist(centers))
+        assert result.degraded and timing.degraded_chunks == 1
 
 
 class TestServiceUnderFaults:
