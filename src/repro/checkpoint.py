@@ -72,11 +72,6 @@ def write_checkpoint(
     manager's clock); it becomes the recovery point the DR bench checks
     against. Returns the manifest that was written.
     """
-    if manager.chunked:
-        raise CheckpointError(
-            "checkpointing needs resident programming; the chunked "
-            "engine re-programs crossbars per chunk"
-        )
     t = float(manager._clock_ns if t_ns is None else t_ns)
     qstate = manager.quantizer.export_state()
     qv = manager.quantizer.quantize(manager.source_data)

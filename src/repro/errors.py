@@ -85,24 +85,11 @@ class CrossbarDeadError(FaultError):
     reason = "fault:crossbar_dead"
 
 
-class ShardCrashedError(FaultError):
-    """A serving shard crashed; dispatches to it fail fast."""
-
-    reason = "fault:shard_crash"
-
-
 class ShardHungError(FaultError, TimeoutError):
     """A shard dispatch hung past the watchdog with no replica to fail
     over to. ``TimeoutError``-family so generic timeout handlers apply."""
 
     reason = "fault:shard_hung"
-
-
-class WaveCorruptionError(FaultError):
-    """A PIM wave failed its integrity (residue/checksum) verification
-    and no recovery path (retry, replica, degraded recompute) was left."""
-
-    reason = "fault:wave_corrupt"
 
 
 class ChunkUnavailableError(FaultError):
@@ -131,12 +118,7 @@ class DatasetError(ReproError):
 
 class ServingError(ReproError):
     """The serving layer is misconfigured or violated an invariant
-    (bad placement, unknown tenant, exhausted re-programming budget)."""
-
-
-class AdmissionError(ServingError):
-    """A request was refused at admission (used internally to signal
-    sheds; callers normally observe shed counters, not this exception)."""
+    (bad placement, unknown tenant, invalid query block)."""
 
 
 class WatchdogTimeoutError(ServingError, TimeoutError):

@@ -317,8 +317,6 @@ class RepairController:
         while the next correlated outage still takes every copy.
         """
         manager = self.manager
-        if manager.chunked:
-            return 0  # chunked shards reprogram per chunk; no remap substrate
         health = manager.health
         alive = [s for s in range(manager.n_shards) if health.alive(s)]
         target_k = min(self._target_replication(), len(alive))

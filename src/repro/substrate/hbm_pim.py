@@ -12,9 +12,9 @@ the host oracle by construction.
 The class mirrors the :class:`~repro.hardware.pim_array.PIMArray`
 surface (including the crossbar-era ``crossbar_ids_of`` /
 ``remap_crossbar(s)`` names) so the fault injectors, the repair
-controller, the chunked serving engine and the stats aggregation all
-run unmodified on banks; backend-specific activity (MAC commands, row
-activations, ...) lands in ``stats.extra`` instead of new fields.
+controller and the stats aggregation all run unmodified on banks;
+backend-specific activity (MAC commands, row activations, ...) lands
+in ``stats.extra`` instead of new fields.
 """
 
 from __future__ import annotations

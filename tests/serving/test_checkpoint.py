@@ -151,6 +151,11 @@ class TestIntegrity:
         with pytest.raises(CheckpointError, match="unreadable"):
             read_manifest(path)
 
+    def test_missing_file_is_refused(self, tmp_path):
+        # a typed CheckpointError, not a bare FileNotFoundError
+        with pytest.raises(CheckpointError, match="unreadable"):
+            verify_checkpoint(str(tmp_path / "missing.npz"))
+
     def test_missing_array_is_refused(self, tmp_path):
         m = manager8()
         path = str(tmp_path / "ck.npz")
@@ -236,11 +241,6 @@ class TestWriteProtocol:
         assert not os.path.exists(path + ".tmp")
         assert verify_checkpoint(path) == golden  # old snapshot intact
         assert read_manifest(path)["t_ns"] == 1.0
-
-    def test_chunked_manager_cannot_checkpoint(self, tmp_path):
-        m = ShardManager(dataset(32, 4), 2, chunked=True)
-        with pytest.raises(CheckpointError, match="chunked"):
-            write_checkpoint(m, str(tmp_path / "ck.npz"))
 
     def test_unfitted_quantizer_round_trips(self, tmp_path):
         # assume_normalized quantizers carry no per-dimension stats;

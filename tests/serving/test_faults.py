@@ -263,10 +263,6 @@ class TestReplication:
         with pytest.raises(ServingError):
             ShardManager(data, 4, replication=5)
 
-    def test_verify_requires_resident_programming(self, data):
-        with pytest.raises(ServingError):
-            ShardManager(data, 2, chunked=True, verify=True)
-
     def test_merged_stats_namespace_replicated_shards(self, data, queries):
         manager = ShardManager(data, 2, replication=2)
         manager.knn_batch(queries, 3)

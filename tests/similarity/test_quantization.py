@@ -115,3 +115,45 @@ class TestQuantizer:
                 ed = euclidean(data[i], data[j])
                 assert lb <= ed + 1e-9
                 assert ed - lb <= bound + 1e-9
+
+
+class TestQuantizerState:
+    """``from_state(export_state())`` is what checkpoint restore runs."""
+
+    def test_reloaded_quantizer_quantizes_identically(self, rng):
+        data = rng.random((20, 6)) * 7 - 2  # raw, needs normalisation
+        quantizer = Quantizer(alpha=500)
+        quantizer.fit(data)
+        reloaded = Quantizer.from_state(quantizer.export_state())
+        assert reloaded.alpha == quantizer.alpha
+        assert not reloaded.assume_normalized
+        # unseen raw queries, some outside the fitted box
+        queries = rng.random((8, 6)) * 11 - 4
+        assert np.array_equal(
+            reloaded.quantize(queries).integers,
+            quantizer.quantize(queries).integers,
+        )
+        assert np.array_equal(
+            reloaded.quantize(data).integers,
+            quantizer.quantize(data).integers,
+        )
+
+    def test_assume_normalized_state_round_trips(self, rng):
+        data = rng.random((30, 5))
+        quantizer = Quantizer(alpha=1000, assume_normalized=True).fit(data)
+        reloaded = Quantizer.from_state(quantizer.export_state())
+        assert reloaded.assume_normalized
+        assert reloaded.alpha == quantizer.alpha
+        queries = rng.random((6, 5))
+        assert np.array_equal(
+            reloaded.quantize(queries).integers,
+            quantizer.quantize(queries).integers,
+        )
+        with pytest.raises(OperandError):
+            reloaded.fit(np.array([[2.0] * 5]))
+
+    def test_unfitted_state_stays_unfitted(self):
+        reloaded = Quantizer.from_state(Quantizer(alpha=7).export_state())
+        assert not reloaded.is_fitted
+        with pytest.raises(OperandError):
+            reloaded.quantize(np.ones((1, 2)))
