@@ -283,74 +283,6 @@ def measure_fused_trajectory(smoke: bool = False, repeats: int = 3) -> dict:
     }
 
 
-def measure_bound_pipeline(smoke: bool = False, repeats: int = 5) -> dict:
-    """Batched bound pipeline vs the per-query loop it replaced.
-
-    The shared serving path now builds every query's pruning bound with
-    one broadcast and ranks all rows with one stable axis argsort over
-    gidx-permuted columns, instead of looping a two-key lexsort per
-    query (the gidx tiebreak is sorted once and amortized over the
-    batch). This microbench re-runs both shapes on the same inputs:
-    the outputs must match element-for-element, the wall clock is the
-    recorded delta.
-    """
-    rng = np.random.default_rng(99)
-    batch, n_local = (8, 20_000) if smoke else (16, 120_000)
-    alpha2 = 2.0 * 16.0
-    phi = rng.random(n_local)
-    phi_q = rng.random(batch)
-    dots = rng.random((batch, n_local))
-    gidx = rng.permutation(n_local).astype(np.int64)
-
-    def scalar():
-        lbs = np.empty((batch, n_local))
-        orders = np.empty((batch, n_local), dtype=np.int64)
-        for b in range(batch):
-            lb = (phi + phi_q[b] - 2.0 * dots[b] - 2.0 * DIMS) / alpha2
-            np.maximum(lb, 0.0, out=lb)
-            lbs[b] = lb
-            orders[b] = np.lexsort((gidx, lb))
-        return lbs, orders
-
-    def vector():
-        lb_all = (
-            phi[None, :] + phi_q[:, None] - 2.0 * dots - 2.0 * DIMS
-        ) / alpha2
-        np.maximum(lb_all, 0.0, out=lb_all)
-        perm = np.argsort(gidx, kind="stable")
-        orders = perm[
-            np.argsort(lb_all[:, perm], axis=1, kind="stable")
-        ]
-        return lb_all, orders
-
-    s_lb, s_orders = scalar()
-    v_lb, v_orders = vector()
-    identical = bool(
-        np.array_equal(s_lb, v_lb) and np.array_equal(s_orders, v_orders)
-    )
-    scalar_s = []
-    vector_s = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        scalar()
-        scalar_s.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        vector()
-        vector_s.append(time.perf_counter() - t0)
-    loop = min(scalar_s)
-    fused = min(vector_s)
-    return {
-        "bench": "serving_bound_pipeline",
-        "smoke": smoke,
-        "batch": batch,
-        "n_local": n_local,
-        "per_query_loop_s": loop,
-        "vectorized_s": fused,
-        "speedup": loop / fused,
-        "identical": identical,
-    }
-
-
 def save_bench_json(result: dict, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(result, indent=2) + "\n")
@@ -595,9 +527,7 @@ def measure_tracing_overhead(smoke: bool = False, repeats: int = 3) -> dict:
 def test_serving_fused_perf_trajectory(benchmark, save_results):
     """Fused serving kernels: big wall-clock win, zero observable drift."""
     result = measure_fused_trajectory(smoke=True)
-    result["bound_pipeline"] = measure_bound_pipeline(smoke=True)
     save_bench_json(result, RESULTS_DIR / "BENCH_serving.json")
-    assert result["bound_pipeline"]["identical"]
     wall = result["wall_clock"]
     save_results(
         "serving_fused_trajectory",
@@ -634,9 +564,7 @@ def test_serving_fused_perf_trajectory_full():
     ratio understates the kernel win.
     """
     result = measure_fused_trajectory(smoke=False)
-    result["bound_pipeline"] = measure_bound_pipeline(smoke=False)
     save_bench_json(result, RESULTS_DIR / "BENCH_serving.json")
-    assert result["bound_pipeline"]["identical"]
     assert result["bit_identical"]
     assert result["simulated"]["identical"]
     assert result["wall_clock"]["speedup"] >= MIN_FUSED_SPEEDUP
@@ -709,7 +637,6 @@ def main(argv=None) -> int:
     save_curve(result, Path(args.out))
     print(f"latency curve  : {args.out}")
     perf = measure_fused_trajectory(smoke=args.smoke)
-    perf["bound_pipeline"] = measure_bound_pipeline(smoke=args.smoke)
     obs = measure_observability(smoke=args.smoke)
     overhead = measure_tracing_overhead(smoke=args.smoke)
     perf["observability"] = obs
@@ -721,12 +648,6 @@ def main(argv=None) -> int:
         f"(bit_identical={perf['bit_identical']}, "
         f"simulated_identical={perf['simulated']['identical']}) "
         f"-> {args.perf_out}"
-    )
-    bound = perf["bound_pipeline"]
-    print(
-        f"bound pipeline : {bound['speedup']:.1f}x batched bound+lexsort "
-        f"vs per-query loop (identical={bound['identical']}, "
-        f"batch {bound['batch']} x {bound['n_local']:,} rows)"
     )
     trace = obs["trace"]
     print(
@@ -755,12 +676,6 @@ def main(argv=None) -> int:
     if not (perf["bit_identical"] and perf["simulated"]["identical"]):
         print(
             "FAIL: fused serving kernels moved bits or nanoseconds",
-            file=sys.stderr,
-        )
-        return 1
-    if not bound["identical"]:
-        print(
-            "FAIL: batched bound pipeline reordered candidates",
             file=sys.stderr,
         )
         return 1
