@@ -211,8 +211,8 @@ def run_bench(smoke: bool = False) -> dict:
         "exactness_violations": violations,
         "verify_overhead": overhead,
         "telemetry": {
-            "trace_file": str(trace_path),
-            "metrics_file": str(metrics_path),
+            "trace_file": trace_path.name,
+            "metrics_file": metrics_path.name,
             "span_events": span_events,
             "metric_lines": metric_lines,
         },
